@@ -31,7 +31,9 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/factor"
 	"repro/internal/bench"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -76,11 +78,19 @@ func main() {
 		return
 	}
 	if *obsOverhead > 0 {
-		runObsOverhead(cfg, *obsOverhead, *obsRounds)
+		// Scheduler instrumentation is a process-wide default read by each
+		// new pool; always-on is restored after every pass.
+		runOverhead(cfg, "obs", *obsOverhead, *obsRounds, func(on bool, _ *factor.Options) func() {
+			sched.SetInstrumentation(on)
+			return func() { sched.SetInstrumentation(true) }
+		})
 		return
 	}
 	if *verifyOverhead > 0 {
-		runVerifyOverhead(cfg, *verifyOverhead, *verifyRounds)
+		runOverhead(cfg, "verify", *verifyOverhead, *verifyRounds, func(on bool, opt *factor.Options) func() {
+			opt.Verify = on
+			return nil
+		})
 		return
 	}
 
@@ -149,30 +159,16 @@ func runGemm(cfg bench.Config, jsonPath string, minSpeedup float64, sample time.
 	}
 }
 
-// runVerifyOverhead runs the ABFT-verification overhead gate: engine-reuse
-// with checksum verification on vs off, best round each, failing when the
-// relative cost exceeds maxPct.
-func runVerifyOverhead(cfg bench.Config, maxPct float64, rounds int) {
-	res := bench.RunVerifyOverhead(cfg, rounds)
-	fmt.Printf("verify overhead: verified %.2f ms/op, unverified %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
-		res.VerifiedMsPerOp, res.UnverifiedMsPerOp, res.OverheadPct, res.Rounds)
+// runOverhead runs one A/B overhead gate: engine-reuse with the toggled
+// feature on vs off, best round each, failing when the relative cost
+// exceeds maxPct.
+func runOverhead(cfg bench.Config, name string, maxPct float64, rounds int, toggle bench.Toggle) {
+	res := bench.ABOverhead(cfg, rounds, toggle)
+	fmt.Printf("%s overhead: on %.2f ms/op, off %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
+		name, res.OnMsPerOp, res.OffMsPerOp, res.OverheadPct, res.Rounds)
 	if res.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "verify overhead gate: %.2f%% > allowed %.2f%%\n", res.OverheadPct, maxPct)
+		fmt.Fprintf(os.Stderr, "%s overhead gate: %.2f%% > allowed %.2f%%\n", name, res.OverheadPct, maxPct)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "verify overhead gate ok: %.2f%% <= %.2f%%\n", res.OverheadPct, maxPct)
-}
-
-// runObsOverhead runs the instrumentation-overhead gate: engine-reuse with
-// scheduler metrics on vs off, best round each, failing when the relative
-// cost exceeds maxPct.
-func runObsOverhead(cfg bench.Config, maxPct float64, rounds int) {
-	res := bench.RunObsOverhead(cfg, rounds)
-	fmt.Printf("obs overhead: instrumented %.2f ms/op, uninstrumented %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
-		res.InstrumentedMsPerOp, res.UninstrumentedMsPerOp, res.OverheadPct, res.Rounds)
-	if res.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "obs overhead gate: %.2f%% > allowed %.2f%%\n", res.OverheadPct, maxPct)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "obs overhead gate ok: %.2f%% <= %.2f%%\n", res.OverheadPct, maxPct)
+	fmt.Fprintf(os.Stderr, "%s overhead gate ok: %.2f%% <= %.2f%%\n", name, res.OverheadPct, maxPct)
 }

@@ -170,7 +170,15 @@ func schedOverhead() float64 {
 	for i := 0; i < n; i++ {
 		g.Add(&sched.Task{Run: func() {}})
 	}
+	pool := sched.NewPool(runtime.NumCPU())
+	defer pool.Close()
 	start := time.Now()
-	(&sched.Runner{Workers: runtime.NumCPU()}).Run(g)
+	sub, err := pool.Submit(g, sched.SubmitOptions{})
+	if err == nil {
+		_, err = sub.Wait()
+	}
+	if err != nil {
+		panic(err)
+	}
 	return time.Since(start).Seconds() / n
 }

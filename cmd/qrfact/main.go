@@ -66,7 +66,11 @@ func main() {
 	switch *alg {
 	case "caqr":
 		opt := core.Options{BlockSize: *b, PanelThreads: *tr, Tree: tree, Workers: *workers, Lookahead: true, Trace: *crit}
-		res, err := core.CAQRWithPoolCtx(ctx, a, opt, nil)
+		p, err := core.PrepareCAQR(a, opt)
+		var res *core.QRResult
+		if err == nil {
+			res, err = p.Finish(core.Run(ctx, nil, p))
+		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "interrupted: factorization cancelled")

@@ -84,13 +84,21 @@ func main() {
 		a := matrix.Random(*m, *n, 42)
 		var events []sched.Event
 		if *alg == "caqr" {
-			res, err := core.CAQRWithPoolCtx(ctx, a, opt, nil)
+			p, err := core.PrepareCAQR(a, opt)
+			if err != nil {
+				reportRunError(err)
+			}
+			res, err := p.Finish(core.Run(ctx, nil, p))
 			if err != nil {
 				reportRunError(err)
 			}
 			events, graph = res.Events, res.Graph
 		} else {
-			res, err := core.CALUWithPoolCtx(ctx, a, opt, nil)
+			p, err := core.PrepareCALU(a, opt)
+			if err != nil {
+				reportRunError(err)
+			}
+			res, err := p.Finish(core.Run(ctx, nil, p))
 			if err != nil {
 				reportRunError(err)
 			}

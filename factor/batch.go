@@ -1,11 +1,11 @@
 package factor
 
 // Request coalescing: many small factorizations arriving within a short
-// window are merged (sched.MergeGraphs) into ONE pool submission instead of
-// one apiece — the paper's aggregation of small operations into fewer,
-// larger ones, applied at the service level. A merged batch keeps the
-// workers draining one combined ready set where per-request submissions
-// would leave them idling between tiny graphs.
+// window run as ONE core.Run over all of their prepared requests — a single
+// merged pool submission instead of one apiece: the paper's aggregation of
+// small operations into fewer, larger ones, applied at the service level.
+// A merged batch keeps the workers draining one combined ready set where
+// per-request submissions would leave them idling between tiny graphs.
 
 import (
 	"context"
@@ -15,21 +15,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
-// batchPrep is one prepared factorization riding a coalesced submission:
-// graph hands over its task graph (consumed by the merge), finish runs the
-// request's post-execution bookkeeping with the combined submission's error.
-type batchPrep interface {
-	graph() *sched.Graph
-	finish(runErr error) error
-}
-
-// batchItem is one enqueued request; done is closed once finish has run and
-// err is set.
+// batchItem is one enqueued request; done is closed once its batch has run
+// and err holds the batch's error.
 type batchItem struct {
-	prep batchPrep
+	req  core.Request
 	done chan struct{}
 	err  error
 }
@@ -56,12 +47,12 @@ func newBatcher(e *Engine, window time.Duration, maxReq int) *batcher {
 	return &batcher{e: e, window: window, maxReq: maxReq, flushes: e.met.batchFlushes}
 }
 
-// do enqueues prep and waits for its batch to run, returning the request's
-// own finish error. Abandoning on ctx cancellation does not cancel the
-// merged submission — batch-mates still complete; a wedged submission is the
-// watchdog's and CloseWithTimeout's job.
-func (b *batcher) do(ctx context.Context, prep batchPrep) error {
-	it := &batchItem{prep: prep, done: make(chan struct{})}
+// do enqueues req and waits for its batch to run, returning the batch's
+// error for the caller to finish req with. Abandoning on ctx cancellation
+// does not cancel the merged submission — batch-mates still complete; a
+// wedged submission is the watchdog's and CloseWithTimeout's job.
+func (b *batcher) do(ctx context.Context, req core.Request) error {
+	it := &batchItem{req: req, done: make(chan struct{})}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -105,72 +96,31 @@ func (b *batcher) timedFlush() {
 	go b.flush(items)
 }
 
-// flush merges the items' graphs into one submission, runs it, and
-// completes every item with its own finish error. It must never leak a
-// blocked waiter: any panic (merge, submit, a finish implementation) is
-// converted into an error on every item still open.
+// flush runs the items' requests as one core.Run and completes every item
+// with the run's error. It must never leak a blocked waiter: the items are
+// completed from a deferred func, and a panic anywhere in the run becomes
+// their error.
 func (b *batcher) flush(items []*batchItem) {
 	if len(items) == 0 {
 		return
 	}
-	finished := 0
+	var err error
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("factor: batch flush panicked: %v", r)
-			for _, it := range items[finished:] {
-				it.err = err
-				close(it.done)
-			}
+			err = fmt.Errorf("factor: batch flush panicked: %v", r)
+		}
+		for _, it := range items {
+			it.err = err
+			close(it.done)
 		}
 	}()
-	graphs := make([]*sched.Graph, len(items))
+	reqs := make([]core.Request, len(items))
 	for i, it := range items {
-		graphs[i] = it.prep.graph()
+		reqs[i] = it.req
 	}
-	merged := sched.MergeGraphs(graphs...)
-	var runErr error
 	// calint:ignore ctx-propagation -- the merged submission deliberately outlives any single request's ctx (batch-mates share it; see do's doc comment)
-	sub, err := b.e.pool.Submit(merged, sched.SubmitOptions{})
-	if err != nil {
-		runErr = err
-	} else {
-		_, runErr = sub.Wait()
-	}
+	err = core.Run(context.Background(), b.e.pool, reqs...)
 	b.flushes.Inc()
-	for _, it := range items {
-		it.err = it.prep.finish(runErr)
-		close(it.done)
-		finished++
-	}
-}
-
-// luPrep adapts a prepared CALU request to the batchPrep interface,
-// capturing the finished result for the serving goroutine.
-type luPrep struct {
-	p   *core.PreparedLU
-	res *core.LUResult
-}
-
-func (w *luPrep) graph() *sched.Graph { return w.p.Graph() }
-
-func (w *luPrep) finish(runErr error) error {
-	res, err := w.p.Finish(runErr)
-	w.res = res
-	return err
-}
-
-// qrPrep adapts a prepared CAQR request to the batchPrep interface.
-type qrPrep struct {
-	p   *core.PreparedQR
-	res *core.QRResult
-}
-
-func (w *qrPrep) graph() *sched.Graph { return w.p.Graph() }
-
-func (w *qrPrep) finish(runErr error) error {
-	res, err := w.p.Finish(runErr)
-	w.res = res
-	return err
 }
 
 // close flushes the pending window synchronously and rejects future

@@ -12,6 +12,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
@@ -140,34 +141,38 @@ func (c *resultCache) dropCorrupted(key ckey, el *list.Element) {
 // do returns the cached value for key, joining an identical in-flight fill
 // when one exists, and otherwise filling via fn. The boolean reports a hit
 // (including joining a fill — the request did not factor). Failed fills are
-// not cached; every joiner of a failed fill gets the leader's error.
+// not cached. A joiner shares the leader's error, except when the leader
+// failed on its own context (cancelled or past its deadline) while the
+// joiner's is still live: the joiner then starts over — joining a newer
+// fill or leading one with its own fn — rather than inherit a cancellation
+// it never asked for.
 func (c *resultCache) do(ctx context.Context, key ckey, fn func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		v, want := ent.val, ent.sum
-		c.mu.Unlock()
-		if factorChecksum(v) == want {
-			c.hits.Inc()
+	for {
+		if v, ok := c.get(key); ok {
 			return v, true, nil
 		}
-		// Resident entry failed its integrity check: evict it and fall
-		// through to the fill path as a miss.
-		c.dropCorrupted(key, el)
 		c.mu.Lock()
-	}
-	if f, ok := c.inflight[key]; ok {
+		if _, ok := c.entries[key]; ok {
+			c.mu.Unlock() // filled since get looked: take it as a hit
+			continue
+		}
+		f, ok := c.inflight[key]
+		if !ok {
+			break // c.mu held: lead the fill below
+		}
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			if f.err != nil {
-				return nil, false, f.err
-			}
-			c.hits.Inc()
-			return f.val, true, nil
 		case <-ctx.Done():
 			return nil, false, fmt.Errorf("%w waiting for cached result: %w", ErrCancelled, ctx.Err())
+		}
+		if f.err == nil {
+			c.hits.Inc()
+			return f.val, true, nil
+		}
+		leaderGaveUp := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+		if !leaderGaveUp || ctx.Err() != nil {
+			return nil, false, f.err
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -253,49 +258,37 @@ func cacheKey(op byte, a *Matrix, opt core.Options) (k ckey) {
 // in-flight request). With EngineConfig.CacheEntries zero the call always
 // factors and reports false.
 func (e *Engine) LUCachedCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, bool, error) {
-	if e.cache == nil || a == nil {
-		f, err := e.LUCtx(ctx, cloneForCache(a), opt)
-		return f, false, err
-	}
-	key := cacheKey('L', a, e.engineOptions(opt))
-	// Resident-hit fast path first: no fill closure, no allocation.
-	if v, ok := e.cache.get(key); ok {
-		return v.(*LUFactorization), true, nil
-	}
-	v, hit, err := e.cache.do(ctx, key, func() (any, error) {
-		return e.LUCtx(ctx, a.Clone(), opt)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*LUFactorization), hit, nil
+	return cached(ctx, e, luOp, a, opt)
 }
 
 // QRCachedCtx is Engine.QRCtx behind the result cache, with the same
 // contract as LUCachedCtx.
 func (e *Engine) QRCachedCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, bool, error) {
-	if e.cache == nil || a == nil {
-		f, err := e.QRCtx(ctx, cloneForCache(a), opt)
-		return f, false, err
-	}
-	key := cacheKey('Q', a, e.engineOptions(opt))
-	if v, ok := e.cache.get(key); ok {
-		return v.(*QRFactorization), true, nil
-	}
-	v, hit, err := e.cache.do(ctx, key, func() (any, error) {
-		return e.QRCtx(ctx, a.Clone(), opt)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*QRFactorization), hit, nil
+	return cached(ctx, e, qrOp, a, opt)
 }
 
-// cloneForCache preserves the never-modifies-a contract on the uncached
-// fallback path; nil passes through so shape validation reports it.
-func cloneForCache(a *Matrix) *Matrix {
-	if a == nil {
-		return nil
+// cached is the cache stage in front of serve. Every route leaves a
+// untouched: a miss serves a private clone.
+func cached[F any](ctx context.Context, e *Engine, o op[F], a *Matrix, opt Options) (F, bool, error) {
+	if e.cache == nil || a == nil {
+		var clone *Matrix // a nil a reaches Prepare, which reports it
+		if a != nil {
+			clone = a.Clone()
+		}
+		f, err := serve(ctx, e, o, clone, opt)
+		return f, false, err
 	}
-	return a.Clone()
+	key := cacheKey(o.label[0], a, e.engineOptions(opt))
+	// Resident-hit fast path first: no fill closure, no allocation.
+	if v, ok := e.cache.get(key); ok {
+		return v.(F), true, nil
+	}
+	v, hit, err := e.cache.do(ctx, key, func() (any, error) {
+		return serve(ctx, e, o, a.Clone(), opt)
+	})
+	if err != nil {
+		var none F
+		return none, false, err
+	}
+	return v.(F), hit, nil
 }

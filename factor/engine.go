@@ -180,10 +180,9 @@ type Stats struct {
 // are retried with exponential backoff from a snapshot of the input, and a
 // watchdog converts silent stalls into typed ErrStalled failures.
 type Engine struct {
-	pool    *sched.Pool
-	workers int
-	cfg     EngineConfig
-	sem     chan struct{} // admission slots; nil when unlimited
+	pool *sched.Pool
+	cfg  EngineConfig
+	sem  chan struct{} // admission slots; nil when unlimited
 
 	batch *batcher     // nil when coalescing is off
 	cache *resultCache // nil when the result cache is off
@@ -234,7 +233,6 @@ func NewEngineWithConfig(cfg EngineConfig) *Engine {
 	}
 	e := &Engine{
 		pool:    sched.NewPool(cfg.Workers),
-		workers: cfg.Workers,
 		cfg:     cfg,
 		watched: make(map[int64]context.CancelCauseFunc),
 	}
@@ -271,7 +269,7 @@ func NewEngineWithConfig(cfg EngineConfig) *Engine {
 }
 
 // Workers returns the size of the engine's worker pool.
-func (e *Engine) Workers() int { return e.workers }
+func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // Stats returns a snapshot of the self-healing, cache and batching
 // counters. Every field reads the same registered metric the Prometheus
@@ -481,29 +479,35 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return d
 }
 
-// serve runs one factorization request through the self-healing path:
-// admission control, per-attempt watchdog registration, snapshot/restore
-// of the in-place input across retries, and stall classification. run
-// performs one attempt under the context it is given; a is the in-place
-// input to snapshot (nil skips snapshotting).
-func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context) error) error {
+// serve runs one request through the engine's pipeline: admission, then
+// the solo or coalesced route under the retry policy, each attempt
+// registered with the watchdog. The solo route factors a in place and
+// restores it from a snapshot between attempts; the coalesced route
+// factors a private copy, so it needs no snapshot.
+func serve[F any](ctx context.Context, e *Engine, o op[F], a *Matrix, opt Options) (F, error) {
+	var none F
+	start := time.Now()
 	// The caller's context is checked before admission: a request that was
 	// already cancelled must report its own cancellation, not consume an
 	// admission decision — returning ErrOverloaded (and bumping the Shed
 	// counter) for a request the caller abandoned would tell a retrying
 	// client to back off for capacity the engine never lacked.
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w before admission: %w", ErrCancelled, err)
+		return none, fmt.Errorf("%w before admission: %w", ErrCancelled, err)
 	}
 	if err := e.admit(); err != nil {
-		return err
+		return none, err
 	}
 	defer e.release()
 	e.met.inFlight.Add(1)
 	defer e.met.inFlight.Add(-1)
 
+	iopt := e.engineOptions(opt)
+	run := func(actx context.Context) (F, error) { return o.factor(a, a, iopt, solo(actx, e.pool)) }
 	var snap *Matrix
-	if e.cfg.MaxRetries > 0 && a != nil {
+	if e.batchEligible(a, iopt) {
+		run = func(actx context.Context) (F, error) { return coalesced(actx, e, o, a, iopt) }
+	} else if e.cfg.MaxRetries > 0 && a != nil {
 		// Factorizations destroy their input, so retrying needs the
 		// original back. The snapshot costs one copy of a; engines with
 		// MaxRetries == 0 never pay it.
@@ -517,11 +521,12 @@ func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context)
 			e.met.retries.Inc()
 		}
 		actx, release := e.watch(ctx)
-		err := run(actx)
+		f, err := run(actx)
 		stalled := err != nil && errors.Is(context.Cause(actx), ErrStalled)
 		release()
 		if err == nil {
-			return nil
+			e.met.requestSeconds.With(o.label).Observe(time.Since(start).Seconds())
+			return f, nil
 		}
 		if stalled {
 			e.met.stalls.Inc()
@@ -533,7 +538,7 @@ func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context)
 		}
 		err = mapErr(err)
 		if attempt >= e.cfg.MaxRetries || !retryable(err) || ctx.Err() != nil {
-			return err
+			return none, err
 		}
 		if errors.Is(err, ErrCorrupted) {
 			// The attempt died on an unrecovered checksum mismatch; the
@@ -542,9 +547,26 @@ func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context)
 			e.met.verifyFailRetries.Inc()
 		}
 		if werr := e.backoff(ctx, attempt); werr != nil {
-			return err
+			return none, err
 		}
 	}
+}
+
+// coalesced is the batched route: one attempt factors a private copy of a
+// in a merged submission and copies the factors back only on success, so
+// a is intact after any failure. The copy also keeps an abandoned attempt
+// harmless: its batch keeps running, and writing, after the caller has
+// returned.
+func coalesced[F any](ctx context.Context, e *Engine, o op[F], a *Matrix, opt core.Options) (F, error) {
+	work := a.Clone()
+	f, err := o.factor(a, work, opt, func(r core.Request) error {
+		e.met.batched.Inc()
+		return e.batch.do(ctx, r)
+	})
+	if err == nil {
+		a.CopyFrom(work)
+	}
+	return f, err
 }
 
 // engineOptions pins the scheduling knobs the engine owns: the worker
@@ -554,7 +576,7 @@ func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context)
 // detection callbacks feed the engine's registered metrics; they are
 // ignored by the cache key, which hashes only the numeric knobs.
 func (e *Engine) engineOptions(opt Options) core.Options {
-	opt.Workers = e.workers
+	opt.Workers = e.cfg.Workers
 	if opt.GrowthThreshold == 0 {
 		opt.GrowthThreshold = e.cfg.GrowthThreshold
 	}
@@ -607,114 +629,23 @@ func (e *Engine) QR(a *Matrix, opt Options) (*QRFactorization, error) {
 // so its contents are unspecified after a cancelled call (a retrying
 // engine restores it between attempts, but not after the final failure).
 func (e *Engine) LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
-	start := time.Now()
-	if e.batchEligible(a, opt) {
-		f, err := e.luBatched(ctx, a, opt)
-		if err == nil {
-			e.met.requestSeconds.With("lu").Observe(time.Since(start).Seconds())
-		}
-		return f, err
-	}
-	var res *core.LUResult
-	err := e.serve(ctx, a, func(actx context.Context) error {
-		var rerr error
-		res, rerr = core.CALUWithPoolCtx(actx, a, e.engineOptions(opt), e.pool)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.met.requestSeconds.With("lu").Observe(time.Since(start).Seconds())
-	return &LUFactorization{res: res, workers: e.workers}, nil
+	return serve(ctx, e, luOp, a, opt)
 }
 
 // batchEligible reports whether a request rides the coalescing path: the
 // batcher is on, the matrix is small enough that sharing a submission
-// helps, tall-or-square (the wide case post-processes sequentially), and
-// untraced (a merged submission's trace cannot be attributed per request).
-func (e *Engine) batchEligible(a *Matrix, opt Options) bool {
+// helps and tall-or-square, and its submission options are the defaults —
+// a merged submission runs untraced under the priority policy, so a traced
+// or work-stealing request runs alone.
+func (e *Engine) batchEligible(a *Matrix, opt core.Options) bool {
 	return e.batch != nil && a != nil &&
 		a.Rows > 0 && a.Cols > 0 && a.Rows >= a.Cols &&
 		a.Rows <= e.cfg.BatchMaxDim && a.Cols <= e.cfg.BatchMaxDim &&
-		!opt.Trace
+		!opt.Trace && !opt.WorkStealing
 }
 
 // QRCtx is Engine.QR bound to a context, with the same cancellation
 // semantics as Engine.LUCtx.
 func (e *Engine) QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	start := time.Now()
-	if e.batchEligible(a, opt) {
-		f, err := e.qrBatched(ctx, a, opt)
-		if err == nil {
-			e.met.requestSeconds.With("qr").Observe(time.Since(start).Seconds())
-		}
-		return f, err
-	}
-	var res *core.QRResult
-	err := e.serve(ctx, a, func(actx context.Context) error {
-		var rerr error
-		res, rerr = core.CAQRWithPoolCtx(actx, a, e.engineOptions(opt), e.pool)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.met.requestSeconds.With("qr").Observe(time.Since(start).Seconds())
-	return &QRFactorization{res: res, workers: e.workers}, nil
-}
-
-// luBatched serves one LU request through the coalescing path: each attempt
-// prepares a fresh clone of a (a merged graph is consumed by its run, so a
-// retry can never reuse it), rides a shared submission, and copies the
-// factors back into a only on success — so the caller's matrix is intact
-// after any failure, and serve needs no snapshot (nil).
-func (e *Engine) luBatched(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
-	var res *core.LUResult
-	err := e.serve(ctx, nil, func(actx context.Context) error {
-		clone := a.Clone()
-		prep, err := core.PrepareCALU(clone, e.engineOptions(opt))
-		if err != nil {
-			return err
-		}
-		e.met.batched.Inc()
-		w := &luPrep{p: prep}
-		if err := e.batch.do(actx, w); err != nil {
-			return err
-		}
-		a.CopyFrom(clone)
-		res = w.res
-		res.A = a
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &LUFactorization{res: res, workers: e.workers}, nil
-}
-
-// qrBatched is the QR analogue of luBatched. The result's Panels keep
-// viewing the factored clone (content-identical to a after the copy-back);
-// A points at the caller's matrix.
-func (e *Engine) qrBatched(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	var res *core.QRResult
-	err := e.serve(ctx, nil, func(actx context.Context) error {
-		clone := a.Clone()
-		prep, err := core.PrepareCAQR(clone, e.engineOptions(opt))
-		if err != nil {
-			return err
-		}
-		e.met.batched.Inc()
-		w := &qrPrep{p: prep}
-		if err := e.batch.do(actx, w); err != nil {
-			return err
-		}
-		a.CopyFrom(clone)
-		res = w.res
-		res.A = a
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QRFactorization{res: res, workers: e.workers}, nil
+	return serve(ctx, e, qrOp, a, opt)
 }

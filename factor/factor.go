@@ -218,12 +218,57 @@ func LU(a *Matrix, opt Options) (*LUFactorization, error) {
 // partial result. a is factored in place, so its contents are unspecified
 // after a cancelled call.
 func LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
-	iopt := opt.internal()
-	res, err := core.CALUWithPoolCtx(ctx, a, iopt, nil)
+	return luOp.factor(a, a, opt.internal(), solo(ctx, nil))
+}
+
+// op is one factorization kind as the request pipeline sees it: its metric
+// label ("lu" or "qr"; the first byte also tells cache keys apart) and its
+// typed prepare → execute → finish step. factor prepares the request on
+// work, hands it to exec, and finishes it with exec's error; the result
+// names a as its factor matrix — work itself on the in-place routes, or
+// the caller's matrix the coalesced route copies work back into.
+type op[F any] struct {
+	label  string
+	factor func(a, work *Matrix, opt core.Options, exec func(core.Request) error) (F, error)
+}
+
+var (
+	luOp = op[*LUFactorization]{"lu", factorLU}
+	qrOp = op[*QRFactorization]{"qr", factorQR}
+)
+
+func factorLU(a, work *Matrix, opt core.Options, exec func(core.Request) error) (*LUFactorization, error) {
+	p, err := core.PrepareCALU(work, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &LUFactorization{res: res, workers: iopt.Workers}, nil
+	res, err := p.Finish(exec(p))
+	if err != nil {
+		return nil, err
+	}
+	res.A = a
+	return &LUFactorization{res: res, workers: opt.Workers}, nil
+}
+
+// factorQR is factorLU for CAQR. On the coalesced route the result's
+// Panels keep viewing work, which holds the same factors as a.
+func factorQR(a, work *Matrix, opt core.Options, exec func(core.Request) error) (*QRFactorization, error) {
+	p, err := core.PrepareCAQR(work, opt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Finish(exec(p))
+	if err != nil {
+		return nil, err
+	}
+	res.A = a
+	return &QRFactorization{res: res, workers: opt.Workers}, nil
+}
+
+// solo executes a request alone on pool under ctx; a nil pool is a private
+// one sized by the request's Workers.
+func solo(ctx context.Context, pool *sched.Pool) func(core.Request) error {
+	return func(r core.Request) error { return core.Run(ctx, pool, r) }
 }
 
 // Factors returns the in-place factor matrix (L below the unit diagonal,
@@ -270,12 +315,7 @@ func QR(a *Matrix, opt Options) (*QRFactorization, error) {
 // QRCtx is QR bound to a context, with the same cancellation semantics as
 // LUCtx: an error wrapping the context's error, never a partial result.
 func QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	iopt := opt.internal()
-	res, err := core.CAQRWithPoolCtx(ctx, a, iopt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &QRFactorization{res: res, workers: iopt.Workers}, nil
+	return qrOp.factor(a, a, opt.internal(), solo(ctx, nil))
 }
 
 // R returns a copy of the n x n upper-triangular factor.

@@ -7,6 +7,8 @@ package factor
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -106,110 +108,138 @@ func TestServeChecksContextBeforeAdmission(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesUnbatched checks the coalescing path end to end: a
-// burst of eligible requests on a batching engine produces factors
-// bit-identical to an unbatched engine's, rides fewer submissions than
-// requests, and leaves the callers' matrices holding the factors.
+// eachRoute factors every input through every route a request can take —
+// package-level, an engine's solo route, its coalesced route, a cache miss
+// and then a hit, and verify mode — and returns each route's handles in
+// input order. Every route factors a private copy of each input. The
+// coalesced route submits all inputs concurrently and checks that each
+// rode a merged submission.
+func eachRoute[F any](t *testing.T, inputs []*Matrix, opt Options,
+	pkg func(*Matrix, Options) (F, error),
+	engine func(*Engine, *Matrix, Options) (F, error),
+	cached func(*Engine, context.Context, *Matrix, Options) (F, bool, error),
+) map[string][]F {
+	t.Helper()
+	const workers = 2
+	routes := map[string][]F{}
+	each := func(route string, factor func(a *Matrix) (F, error)) {
+		for i, in := range inputs {
+			f, err := factor(in.Clone())
+			if err != nil {
+				t.Fatalf("%s route, input %d: %v", route, i, err)
+			}
+			routes[route] = append(routes[route], f)
+		}
+	}
+
+	popt := opt
+	popt.Workers = workers
+	each("package", func(a *Matrix) (F, error) { return pkg(a, popt) })
+
+	solo := NewEngine(workers)
+	defer solo.Close()
+	each("engine", func(a *Matrix) (F, error) { return engine(solo, a, opt) })
+	vopt := opt
+	vopt.Verify = true
+	each("verify", func(a *Matrix) (F, error) { return engine(solo, a, vopt) })
+
+	cache := NewEngineWithConfig(EngineConfig{Workers: workers, CacheEntries: len(inputs)})
+	defer cache.Close()
+	for _, route := range []string{"cached miss", "cached hit"} {
+		wantHit := route == "cached hit"
+		each(route, func(a *Matrix) (F, error) {
+			f, hit, err := cached(cache, context.Background(), a, opt)
+			if err == nil && hit != wantHit {
+				err = fmt.Errorf("hit = %v, want %v", hit, wantHit)
+			}
+			return f, err
+		})
+	}
+
+	batcher := NewEngineWithConfig(EngineConfig{Workers: workers, BatchWindow: 20 * time.Millisecond})
+	defer batcher.Close()
+	batched := make([]F, len(inputs))
+	errs := make([]error, len(inputs))
+	var wg sync.WaitGroup
+	for i, in := range inputs {
+		wg.Add(1)
+		go func(i int, a *Matrix) {
+			defer wg.Done()
+			batched[i], errs[i] = engine(batcher, a, opt)
+		}(i, in.Clone())
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batched route, input %d: %v", i, err)
+		}
+	}
+	routes["batched"] = batched
+	n := int64(len(inputs))
+	if s := batcher.Stats(); s.BatchedRequests != n || s.BatchFlushes < 1 || s.BatchFlushes > n {
+		t.Fatalf("BatchedRequests = %d, BatchFlushes = %d: want %d requests in [1, %d] flushes", s.BatchedRequests, s.BatchFlushes, n, n)
+	}
+	return routes
+}
+
+// TestBatchedMatchesUnbatched checks that every serving route produces
+// bit-identical LU results: the factors (which, on the coalesced route,
+// were copied back into the caller's matrix), the permutation and the
+// panels the growth guardrail re-factored.
 func TestBatchedMatchesUnbatched(t *testing.T) {
-	opt := Options{BlockSize: 8}
-	const n = 6
-	inputs := make([]*Matrix, n)
+	// The guardrail threshold re-factors some panels with GEPP, so the
+	// table covers both pivoting paths.
+	opt := Options{BlockSize: 8, GrowthThreshold: 4}
+	inputs := make([]*Matrix, 6) // 21 panels in all
 	for i := range inputs {
 		inputs[i] = Random(48, 24+(i%2)*8, int64(i+1))
 	}
-
-	plain := NewEngine(2)
-	want := make([]*Matrix, n)
-	wantPerm := make([][]int, n)
-	for i, in := range inputs {
-		a := in.Clone()
-		f, err := plain.LU(a, opt)
-		if err != nil {
-			t.Fatalf("unbatched LU %d: %v", i, err)
-		}
-		want[i] = a
-		wantPerm[i] = f.PermutationVector()
-	}
-	plain.Close()
-
-	eng := NewEngineWithConfig(EngineConfig{
-		Workers:     2,
-		BatchWindow: 20 * time.Millisecond,
-	})
-	defer eng.Close()
-	got := make([]*Matrix, n)
-	perms := make([][]int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	routes := eachRoute(t, inputs, opt, LU, (*Engine).LU, (*Engine).LUCachedCtx)
+	ref := routes["package"]
+	fellBack := 0
 	for i := range inputs {
-		i := i
-		got[i] = inputs[i].Clone()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := eng.LU(got[i], opt)
-			errs[i] = err
-			if err == nil {
-				perms[i] = f.PermutationVector()
+		fellBack += len(ref[i].FallbackPanels())
+	}
+	if fellBack == 0 || fellBack == 21 {
+		t.Fatalf("%d of 21 panels fell back; the table needs both pivoting paths", fellBack)
+	}
+	for route, fs := range routes {
+		for i, f := range fs {
+			if !f.Factors().Equal(ref[i].Factors()) {
+				t.Fatalf("%s route, input %d: factors differ from package-level LU", route, i)
 			}
-		}()
-	}
-	wg.Wait()
-	for i := range inputs {
-		if errs[i] != nil {
-			t.Fatalf("batched LU %d: %v", i, errs[i])
-		}
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("batched LU %d factors differ from unbatched", i)
-		}
-		for k := range perms[i] {
-			if perms[i][k] != wantPerm[i][k] {
-				t.Fatalf("batched LU %d permutation differs at %d", i, k)
+			if !slices.Equal(f.PermutationVector(), ref[i].PermutationVector()) {
+				t.Fatalf("%s route, input %d: permutation differs", route, i)
+			}
+			if !slices.Equal(f.FallbackPanels(), ref[i].FallbackPanels()) {
+				t.Fatalf("%s route, input %d: FallbackPanels %v, want %v", route, i, f.FallbackPanels(), ref[i].FallbackPanels())
 			}
 		}
-	}
-
-	s := eng.Stats()
-	if s.BatchedRequests != n {
-		t.Fatalf("BatchedRequests = %d, want %d", s.BatchedRequests, n)
-	}
-	if s.BatchFlushes < 1 || s.BatchFlushes > n {
-		t.Fatalf("BatchFlushes = %d, want within [1, %d]", s.BatchFlushes, n)
 	}
 }
 
-// TestBatchedQRMatchesUnbatched covers the QR side of coalescing.
+// TestBatchedQRMatchesUnbatched is the QR side of the route table: factors
+// and R bit-identical on every route.
 func TestBatchedQRMatchesUnbatched(t *testing.T) {
 	opt := Options{BlockSize: 8}
-	in := Random(40, 24, 9)
-
-	plain := NewEngine(2)
-	want := in.Clone()
-	if _, err := plain.QR(want, opt); err != nil {
-		t.Fatalf("unbatched QR: %v", err)
+	inputs := make([]*Matrix, 4)
+	for i := range inputs {
+		inputs[i] = Random(40, 16+(i%2)*8, int64(i+9))
 	}
-	plain.Close()
-
-	eng := NewEngineWithConfig(EngineConfig{Workers: 2, BatchWindow: 5 * time.Millisecond})
-	defer eng.Close()
-	got := in.Clone()
-	f, err := eng.QR(got, opt)
-	if err != nil {
-		t.Fatalf("batched QR: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("batched QR factors differ from unbatched")
-	}
-	if r := f.R(); r == nil {
-		t.Fatal("batched QR handle has no R")
-	}
-	if eng.Stats().BatchedRequests != 1 {
-		t.Fatalf("BatchedRequests = %d, want 1", eng.Stats().BatchedRequests)
+	routes := eachRoute(t, inputs, opt, QR, (*Engine).QR, (*Engine).QRCachedCtx)
+	ref := routes["package"]
+	for route, fs := range routes {
+		for i, f := range fs {
+			if !f.res.A.Equal(ref[i].res.A) || !f.R().Equal(ref[i].R()) {
+				t.Fatalf("%s route, input %d: QR factors differ from package-level QR", route, i)
+			}
+		}
 	}
 }
 
 // TestBatchIneligibleBypasses checks the routing guards: wide and oversize
-// matrices, and traced requests, skip the batcher entirely.
+// matrices, and traced or work-stealing requests, skip the batcher
+// entirely.
 func TestBatchIneligibleBypasses(t *testing.T) {
 	eng := NewEngineWithConfig(EngineConfig{
 		Workers: 2, BatchWindow: time.Millisecond, BatchMaxDim: 32,
@@ -232,8 +262,15 @@ func TestBatchIneligibleBypasses(t *testing.T) {
 	if len(f.Events()) == 0 {
 		t.Fatal("traced request lost its events (was it batched?)")
 	}
+	stealing := Random(24, 24, 4)
+	if _, err := eng.LU(stealing, Options{BlockSize: 8, WorkStealing: true}); err != nil {
+		t.Fatalf("work-stealing LU on batching engine: %v", err)
+	}
 	if s := eng.Stats(); s.BatchedRequests != 0 {
 		t.Fatalf("BatchedRequests = %d for ineligible requests, want 0", s.BatchedRequests)
+	}
+	if m := eng.PoolMetrics(); m.StealAttempts == 0 {
+		t.Fatal("work-stealing request ran without a steal attempt (was it batched?)")
 	}
 }
 
@@ -392,6 +429,75 @@ func TestCacheFailuresNotCached(t *testing.T) {
 	}
 	if s := eng.Stats(); s.CacheHits != 0 {
 		t.Fatalf("failed requests produced %d cache hits", s.CacheHits)
+	}
+}
+
+// doneSignal is a live context that reports, by closing joined, the first
+// time a cache waiter selects on its Done channel — the moment a joiner is
+// parked on an in-flight fill.
+type doneSignal struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *doneSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestCacheJoinerOutlivesLeaderCancellation is the regression test for
+// joiners inheriting the leader's cancellation: when the leader's own
+// context ends mid-fill, a joiner whose context is still live must fill
+// again itself rather than fail with the leader's context error, while a
+// failure of the factorization itself is still shared.
+func TestCacheJoinerOutlivesLeaderCancellation(t *testing.T) {
+	eng := NewEngineWithConfig(EngineConfig{Workers: 1, CacheEntries: 4})
+	defer eng.Close()
+	for _, tc := range []struct {
+		name      string
+		leaderErr error
+		wantRefil bool
+	}{
+		{"leader deadline", fmt.Errorf("%w: %w", ErrCancelled, context.DeadlineExceeded), true},
+		{"leader cancelled", fmt.Errorf("%w: %w", ErrCancelled, context.Canceled), true},
+		{"factorization error", ErrSingular, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := ckey{byte(len(tc.name))}
+			joiner := &doneSignal{Context: context.Background(), joined: make(chan struct{})}
+			leading, leaderDone := make(chan struct{}), make(chan error, 1)
+			go func() {
+				_, _, err := eng.cache.do(context.Background(), key, func() (any, error) {
+					close(leading)
+					<-joiner.joined // fail only once the joiner waits on this fill
+					return nil, tc.leaderErr
+				})
+				leaderDone <- err
+			}()
+			<-leading
+			// The joiner's fill runs only if it has to refill.
+			refilled := false
+			v, hit, err := eng.cache.do(joiner, key, func() (any, error) {
+				refilled = true
+				return "joiner's fill", nil
+			})
+			if lerr := <-leaderDone; !errors.Is(lerr, tc.leaderErr) {
+				t.Fatalf("leader err = %v, want %v", lerr, tc.leaderErr)
+			}
+			if refilled != tc.wantRefil {
+				t.Fatalf("joiner refilled = %v, want %v", refilled, tc.wantRefil)
+			}
+			if !tc.wantRefil {
+				if !errors.Is(err, tc.leaderErr) || hit {
+					t.Fatalf("joiner: hit=%v err=%v, want the shared %v", hit, err, tc.leaderErr)
+				}
+				return
+			}
+			if err != nil || hit || v != "joiner's fill" {
+				t.Fatalf("joiner: v=%v hit=%v err=%v, want its own fill", v, hit, err)
+			}
+		})
 	}
 }
 

@@ -128,7 +128,7 @@ func runCtxPropagation(pass *ProgramPass) {
 }
 
 // taintChain renders the example path from f to the Submit call for the
-// transitive message, e.g. "Run → runOneShot → Pool.Submit".
+// transitive message, e.g. "GEQRF → run → Pool.Submit".
 func taintChain(next map[*types.Func]*types.Func, f *types.Func) string {
 	var parts []string
 	for cur := f; cur != nil && len(parts) < 8; cur = next[cur] {

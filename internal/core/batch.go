@@ -1,41 +1,103 @@
 package core
 
-// Prepared factorization requests: the graph-construction half of
-// CALU/CAQR split from execution, so a service front end can coalesce many
-// small factorizations into one merged sched.Pool submission
-// (sched.MergeGraphs) — aggregating small operations into fewer, larger
-// ones, the communication-avoiding idea applied at the request level.
+// The request pipeline. Every CALU/CAQR factorization — solo, coalesced
+// with others into one submission, or filling a result cache — runs the
+// same three steps:
 //
-// The split mirrors the single-request entry points exactly: Prepare does
-// validation, the finite scan and graph construction; Finish does the
-// post-execution bookkeeping (deferred pivot application, per-panel error
-// reporting). A prepared request is single-use: its graph is consumed by
-// the submission that runs it.
+//   - PrepareCALU/PrepareCAQR validate the input, scan it for non-finite
+//     entries and build its task graph without running anything;
+//   - Run executes prepared requests on a sched.Pool: one request alone
+//     under its own trace and scheduling-policy options, or several merged
+//     into a single submission — aggregating small operations into fewer,
+//     larger ones, the communication-avoiding idea applied at the request
+//     level;
+//   - Finish does the post-execution bookkeeping: deferred pivot
+//     application, per-panel error reporting and, for a wide matrix, the
+//     update of the columns right of its leading square block.
+//
+// A prepared request is single-use: its graph is consumed by the Run that
+// executes it.
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/tslu"
 )
 
-// PreparedLU is one validated CALU request whose task graph has been built
-// but not yet executed. Run its Graph (typically merged with others into a
-// single pool submission), then call Finish.
-type PreparedLU struct {
-	b   *caluBuilder
-	res *LUResult
+// Request is a prepared factorization, a *PreparedLU or a *PreparedQR,
+// ready for Run.
+type Request interface {
+	// Graph returns the request's task graph.
+	Graph() *sched.Graph
+	options() *Options
+	attach(events []sched.Event, g *sched.Graph)
 }
 
-// PrepareCALU validates a and builds its CALU task graph without executing
-// it. It requires m >= n: the wide case recurses through sequential
-// post-processing that cannot ride a coalesced submission (callers route
-// wide matrices through CALUWithPoolCtx instead). Options.Trace is ignored
-// — a merged submission's trace cannot be attributed to one request.
-func PrepareCALU(a *matrix.Dense, opt Options) (*PreparedLU, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
+// Run executes prepared requests on pool and returns the submission's
+// error, which the caller hands to each request's Finish.
+//
+// A single request is submitted alone with its own Trace and WorkStealing
+// options, and its trace and graph are attached to its result. Several
+// requests are merged into one submission under the default options
+// (untraced, priority policy); the merge empties their graphs, and a task
+// failure fails every request of the batch. A nil pool runs the requests
+// on a private pool sized by their largest Workers option; a shared pool
+// ignores Workers.
+//
+// Once ctx is cancelled or its deadline expires, the submission stops
+// dispatching tasks (ones already executing finish; the rest are drained
+// unrun) and the returned error wraps ctx's error. The pool itself stays
+// usable and concurrent submissions are unaffected. Cancelled runs leak
+// nothing: every internal/scratch workspace is acquired and released
+// inside a single task's Run, so skipped tasks never acquire one.
+func Run(ctx context.Context, pool *sched.Pool, reqs ...Request) error {
+	if len(reqs) == 0 {
+		return nil
+	}
+	g, opt := reqs[0].Graph(), reqs[0].options()
+	so := sched.SubmitOptions{Trace: opt.Trace}
+	if opt.WorkStealing {
+		so.Policy = sched.Stealing
+	}
+	workers := opt.Workers
+	if len(reqs) > 1 {
+		graphs := make([]*sched.Graph, len(reqs))
+		for i, r := range reqs {
+			graphs[i] = r.Graph()
+			workers = max(workers, r.options().Workers)
+		}
+		g, so = sched.MergeGraphs(graphs...), sched.SubmitOptions{}
+	}
+	if pool == nil {
+		pool = sched.NewPool(workers)
+		defer pool.Close()
+	}
+	sub, err := pool.SubmitCtx(ctx, g, so)
+	if err != nil {
+		return err
+	}
+	events, err := sub.Wait()
+	if len(reqs) == 1 {
+		reqs[0].attach(events, g)
+	}
+	return err
+}
+
+// prepareInput validates a, scans it for non-finite entries and normalizes
+// opt for the block the task graph factors: a itself when m >= n, or its
+// leading m x m block when a is wide. It returns that block, its max|A|
+// (the growth guardrail's denominator) and, in verify mode, a's column
+// sums.
+func prepareInput(a *matrix.Dense, opt *Options) (*matrix.Dense, float64, []float64, error) {
+	if a == nil {
+		return nil, 0, nil, fmt.Errorf("%w: nil matrix", ErrShape)
+	}
+	if a.Rows < 1 || a.Cols < 1 {
+		return nil, 0, nil, fmt.Errorf("%w: %dx%d matrix", ErrShape, a.Rows, a.Cols)
 	}
 	var wsums []float64
 	if opt.Verify {
@@ -43,64 +105,100 @@ func PrepareCALU(a *matrix.Dense, opt Options) (*PreparedLU, error) {
 	}
 	maxA, err := scanFinite(a, wsums)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
+	sq := a
 	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("%w: prepared CALU requires m >= n, got %dx%d", ErrShape, a.Rows, a.Cols)
+		sq = a.View(0, 0, a.Rows, a.Rows)
 	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
+	if err := opt.normalize(sq.Rows, sq.Cols); err != nil {
+		return nil, 0, nil, err
+	}
+	return sq, maxA, wsums, nil
+}
+
+// wideRight returns the columns of a right of its leading square block, or
+// nil when a is not wide.
+func wideRight(a *matrix.Dense) *matrix.Dense {
+	if a.Rows >= a.Cols {
+		return nil
+	}
+	return a.View(0, a.Rows, a.Rows, a.Cols-a.Rows)
+}
+
+// PreparedLU is one validated CALU request whose task graph has been built
+// but not yet executed. Execute it with Run, then call Finish.
+type PreparedLU struct {
+	b   *caluBuilder
+	res *LUResult
+}
+
+// PrepareCALU validates a and builds its CALU task graph without executing
+// it. A wide a (m < n) gets the graph of its leading m x m block; Finish
+// updates the remaining columns.
+func PrepareCALU(a *matrix.Dense, opt Options) (*PreparedLU, error) {
+	sq, maxA, wsums, err := prepareInput(a, &opt)
+	if err != nil {
 		return nil, err
 	}
-	opt.Trace = false
-	res := &LUResult{A: a}
-	b := newCALUBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
+	b := newCALUBuilder(sq.Rows, sq.Cols, &opt)
+	b.a, b.maxA = sq, maxA
 	if opt.Verify {
 		b.wsums = wsums
-		b.vsums = make([]float64, a.Cols)
+		b.vsums = make([]float64, sq.Cols)
 		b.recomputed = make([]bool, b.nb)
 	}
 	b.build()
-	return &PreparedLU{b: b, res: res}, nil
+	return &PreparedLU{b: b, res: &LUResult{A: a}}, nil
 }
 
-// Graph returns the request's task graph. Merging it (sched.MergeGraphs)
-// empties it in place; Finish does not depend on it afterwards.
+// Graph returns the request's task graph. Run consumes it; Finish does not
+// depend on it afterwards.
 func (p *PreparedLU) Graph() *sched.Graph { return p.b.g }
 
-// Finish completes the request after its graph ran: runErr is the combined
-// submission's error (nil on a clean run). On success it applies the
-// deferred row interchanges to the L blocks left of each panel and reports
-// the first singular panel, matching CALUWithPoolCtx; the result
-// accompanying a non-nil error is partial and must not be used. The
-// Graph/Events fields of a batched result are nil: the merged submission
-// owns the combined graph.
+func (p *PreparedLU) options() *Options { return p.b.opt }
+
+func (p *PreparedLU) attach(events []sched.Event, g *sched.Graph) {
+	p.res.Events, p.res.Graph = events, g
+}
+
+// Finish completes the request after Run: runErr is Run's error. On success
+// it applies the deferred row interchanges to the L blocks left of each
+// panel (Algorithm 1 line 41), reports the first singular panel and, for a
+// wide matrix, overwrites the columns right of the leading square block
+// with U(:, m:) = L^{-1} P A(:, m:). It returns a nil result with any
+// error; on a non-nil runErr it returns at once without reading the
+// request's state, so it is safe to call while an abandoned submission is
+// still running. The Events and Graph fields are set only for a request
+// Run executed alone.
 func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
-	res := p.res
-	res.Swaps = p.b.swaps
-	for k, fb := range p.b.fellBack {
+	if runErr != nil {
+		return nil, fmt.Errorf("core: CALU execution failed: %w", runErr)
+	}
+	b, res := p.b, p.res
+	bs := b.opt.BlockSize
+	for k := 1; k < len(b.swaps); k++ {
+		tslu.ApplyPivots(b.a.View(0, 0, b.m, k*bs), b.swaps[k], k*bs)
+	}
+	for k, err := range b.errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: CALU panel %d: %w", k, err)
+		}
+	}
+	res.Swaps = b.swaps
+	for k, fb := range b.fellBack {
 		if fb {
 			res.FallbackPanels = append(res.FallbackPanels, k)
 		}
 	}
-	for k, rc := range p.b.recomputed {
+	for k, rc := range b.recomputed {
 		if rc {
 			res.RecomputedPanels = append(res.RecomputedPanels, k)
 		}
 	}
-	if runErr != nil {
-		return res, fmt.Errorf("core: CALU execution failed: %w", runErr)
-	}
-	bs := p.b.opt.BlockSize
-	for k := 1; k < len(p.b.swaps); k++ {
-		left := p.b.a.View(0, 0, p.b.a.Rows, k*bs)
-		tslu.ApplyPivots(left, p.b.swaps[k], k*bs)
-	}
-	for k, err := range p.b.errs {
-		if err != nil {
-			return res, fmt.Errorf("core: CALU panel %d: %w", k, err)
-		}
+	if right := wideRight(res.A); right != nil {
+		res.ApplyPerm(right)
+		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, b.a, right)
 	}
 	return res, nil
 }
@@ -113,33 +211,18 @@ type PreparedQR struct {
 }
 
 // PrepareCAQR validates a and builds its CAQR task graph without executing
-// it, under the same m >= n restriction (and Trace behavior) as PrepareCALU.
+// it, handling a wide a like PrepareCALU.
 func PrepareCAQR(a *matrix.Dense, opt Options) (*PreparedQR, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
+	sq, maxA, wsums, err := prepareInput(a, &opt)
 	if err != nil {
 		return nil, err
 	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("%w: prepared CAQR requires m >= n, got %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
-		return nil, err
-	}
-	opt.Trace = false
 	res := &QRResult{A: a}
-	b := newCAQRBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
+	b := newCAQRBuilder(sq.Rows, sq.Cols, &opt)
+	b.a, b.res, b.maxA = sq, res, maxA
 	if opt.Verify {
 		b.wsums = wsums
-		b.u = onesVector(a.Rows)
+		b.u = onesVector(sq.Rows)
 	}
 	b.build()
 	return &PreparedQR{b: b, res: res}, nil
@@ -148,12 +231,21 @@ func PrepareCAQR(a *matrix.Dense, opt Options) (*PreparedQR, error) {
 // Graph returns the request's task graph; see PreparedLU.Graph.
 func (p *PreparedQR) Graph() *sched.Graph { return p.b.g }
 
-// Finish completes the request after its graph ran, matching
-// CAQRWithPoolCtx: the result accompanying a non-nil error is partial and
-// must not be used.
+func (p *PreparedQR) options() *Options { return p.b.opt }
+
+func (p *PreparedQR) attach(events []sched.Event, g *sched.Graph) {
+	p.res.Events, p.res.Graph = events, g
+}
+
+// Finish completes the request after Run, with the same error contract as
+// PreparedLU.Finish. For a wide matrix it applies Q^T to the columns right
+// of the leading square block, leaving the m x n upper-trapezoidal R.
 func (p *PreparedQR) Finish(runErr error) (*QRResult, error) {
 	if runErr != nil {
-		return p.res, fmt.Errorf("core: CAQR execution failed: %w", runErr)
+		return nil, fmt.Errorf("core: CAQR execution failed: %w", runErr)
+	}
+	if right := wideRight(p.res.A); right != nil {
+		applyPanelsQT(p.res, right)
 	}
 	return p.res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -9,19 +10,13 @@ import (
 	"repro/internal/sched"
 )
 
-// runMerged executes the prepared requests' graphs as one submission on a
+// runMerged executes the prepared requests as one merged submission on a
 // shared pool, returning the submission error.
-func runMerged(t *testing.T, workers int, graphs ...*sched.Graph) error {
+func runMerged(t *testing.T, workers int, reqs ...Request) error {
 	t.Helper()
 	pool := sched.NewPool(workers)
 	defer pool.Close()
-	merged := sched.MergeGraphs(graphs...)
-	sub, err := pool.Submit(merged, sched.SubmitOptions{})
-	if err != nil {
-		t.Fatalf("submit merged graph: %v", err)
-	}
-	_, runErr := sub.Wait()
-	return runErr
+	return Run(context.Background(), pool, reqs...)
 }
 
 // TestPreparedBatchMatchesSolo factors several matrices through one merged
@@ -56,7 +51,7 @@ func TestPreparedBatchMatchesSolo(t *testing.T) {
 	// Batched run: prepare all three, merge, execute once, finish each.
 	luBatch := make([]*matrix.Dense, len(luIn))
 	luPreps := make([]*PreparedLU, len(luIn))
-	var graphs []*sched.Graph
+	var reqs []Request
 	for i, a := range luIn {
 		luBatch[i] = a.Clone()
 		p, err := PrepareCALU(luBatch[i], opt)
@@ -64,16 +59,16 @@ func TestPreparedBatchMatchesSolo(t *testing.T) {
 			t.Fatalf("PrepareCALU %d: %v", i, err)
 		}
 		luPreps[i] = p
-		graphs = append(graphs, p.Graph())
+		reqs = append(reqs, p)
 	}
 	qrBatch := qrIn.Clone()
 	qp, err := PrepareCAQR(qrBatch, opt)
 	if err != nil {
 		t.Fatalf("PrepareCAQR: %v", err)
 	}
-	graphs = append(graphs, qp.Graph())
+	reqs = append(reqs, qp)
 
-	runErr := runMerged(t, 3, graphs...)
+	runErr := runMerged(t, 3, reqs...)
 	for i, p := range luPreps {
 		res, err := p.Finish(runErr)
 		if err != nil {
@@ -122,7 +117,7 @@ func TestPreparedBatchSingularIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := runMerged(t, 2, pg.Graph(), ps.Graph())
+	runErr := runMerged(t, 2, pg, ps)
 	if runErr != nil {
 		t.Fatalf("merged run failed: %v", runErr)
 	}
@@ -137,8 +132,8 @@ func TestPreparedBatchSingularIsolated(t *testing.T) {
 	}
 }
 
-// TestPrepareRejects covers the validation surface: nil/empty/wide inputs
-// and non-finite entries are rejected before any graph is built.
+// TestPrepareRejects covers the validation surface: nil/empty inputs and
+// non-finite entries are rejected before any graph is built.
 func TestPrepareRejects(t *testing.T) {
 	opt := Options{BlockSize: 4, Workers: 1}
 	if _, err := PrepareCALU(nil, opt); !errors.Is(err, ErrShape) {
@@ -147,13 +142,6 @@ func TestPrepareRejects(t *testing.T) {
 	if _, err := PrepareCAQR(matrix.New(0, 0), opt); !errors.Is(err, ErrShape) {
 		t.Fatalf("PrepareCAQR(empty) = %v, want ErrShape", err)
 	}
-	wide := matrix.Random(4, 9, 1)
-	if _, err := PrepareCALU(wide, opt); !errors.Is(err, ErrShape) {
-		t.Fatalf("PrepareCALU(wide) = %v, want ErrShape", err)
-	}
-	if _, err := PrepareCAQR(wide, opt); !errors.Is(err, ErrShape) {
-		t.Fatalf("PrepareCAQR(wide) = %v, want ErrShape", err)
-	}
 	bad := matrix.Random(8, 8, 2)
 	bad.Set(3, 4, math.NaN())
 	if _, err := PrepareCALU(bad, opt); !errors.Is(err, ErrNonFinite) {
@@ -161,5 +149,57 @@ func TestPrepareRejects(t *testing.T) {
 	}
 	if _, err := PrepareCAQR(bad, opt); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("PrepareCAQR(NaN) = %v, want ErrNonFinite", err)
+	}
+	// A non-finite entry right of a wide matrix's leading square block is
+	// caught too, although the task graph never touches those columns.
+	wideBad := matrix.Random(4, 9, 3)
+	wideBad.Set(1, 7, math.Inf(1))
+	if _, err := PrepareCALU(wideBad, opt); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("PrepareCALU(wide, Inf) = %v, want ErrNonFinite", err)
+	}
+
+	// A wide matrix is accepted: riding a merged submission with a tall
+	// batch-mate, its prepared run is bit-identical to the solo result.
+	wide, tall := matrix.Random(12, 29, 1), matrix.Random(20, 12, 4)
+	luWant, qrWant := wide.Clone(), wide.Clone()
+	if _, err := CALU(luWant, opt); err != nil {
+		t.Fatalf("solo wide CALU: %v", err)
+	}
+	if _, err := CAQR(qrWant, opt); err != nil {
+		t.Fatalf("solo wide CAQR: %v", err)
+	}
+	luGot, qrGot := wide.Clone(), wide.Clone()
+	pl, err := PrepareCALU(luGot, opt)
+	if err != nil {
+		t.Fatalf("PrepareCALU(wide): %v", err)
+	}
+	pq, err := PrepareCAQR(qrGot, opt)
+	if err != nil {
+		t.Fatalf("PrepareCAQR(wide): %v", err)
+	}
+	pt, err := PrepareCALU(tall.Clone(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := runMerged(t, 2, pl, pq, pt)
+	if _, err := pl.Finish(runErr); err != nil {
+		t.Fatalf("wide LU Finish: %v", err)
+	}
+	if _, err := pq.Finish(runErr); err != nil {
+		t.Fatalf("wide QR Finish: %v", err)
+	}
+	if !luGot.Equal(luWant) {
+		t.Fatal("prepared wide LU differs from solo")
+	}
+	// The leading block is factored exactly as on its own.
+	sqWant := wide.View(0, 0, 12, 12).Clone()
+	if _, err := CALU(sqWant, opt); err != nil {
+		t.Fatal(err)
+	}
+	if !luGot.View(0, 0, 12, 12).Equal(sqWant) {
+		t.Fatal("wide LU's leading block differs from factoring it alone")
+	}
+	if !qrGot.Equal(qrWant) {
+		t.Fatal("prepared wide QR differs from solo")
 	}
 }

@@ -67,100 +67,17 @@ func (r *LUResult) Solve(rhs *matrix.Dense) {
 // Algorithm 1 of the paper: dynamic scheduling of P/L/U/S tasks with
 // look-ahead priorities. It returns an error wrapping ErrShape for
 // malformed inputs and one wrapping ErrSingular if a panel is rank
-// deficient.
+// deficient. It is PrepareCALU, Run on a private pool and Finish.
 //
 // Wide matrices (m < n) are handled LAPACK-style: the leading m x m block
 // is factored, and the remaining columns are overwritten with
 // U(:, m:) = L^{-1} P A(:, m:).
 func CALU(a *matrix.Dense, opt Options) (*LUResult, error) {
-	return CALUWithPool(a, opt, nil)
-}
-
-// CALUWithPool is CALU executed on a caller-owned persistent worker pool:
-// the task graph is built as usual and submitted to pool, so many
-// factorizations can share (and concurrently occupy) one set of worker
-// goroutines. opt.Workers is ignored — the pool's size rules. A nil pool
-// falls back to a private one-shot pool, which is exactly CALU.
-func CALUWithPool(a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
-	return CALUWithPoolCtx(context.Background(), a, opt, pool) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// CALUWithPoolCtx is CALUWithPool bound to a context: once ctx is cancelled
-// or its deadline expires, the submission stops dispatching tasks (ones
-// already executing finish; the rest are drained unrun) and the call
-// returns an error wrapping ctx's error. The returned result, if non-nil,
-// is partial and must not be used; the pool itself stays fully usable and
-// concurrent submissions are unaffected. Cancelled runs leak nothing: every
-// internal/scratch workspace is acquired and released inside a single
-// task's Run, so skipped tasks never acquire one.
-func CALUWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
+	p, err := PrepareCALU(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	if a.Rows < a.Cols {
-		left := a.View(0, 0, a.Rows, a.Rows)
-		res, err := CALUWithPoolCtx(ctx, left, opt, pool)
-		if res == nil || err != nil {
-			return nil, err
-		}
-		res.A = a
-		right := a.View(0, a.Rows, a.Rows, a.Cols-a.Rows)
-		for k, sw := range res.Swaps {
-			tslu.ApplyPivots(right, sw, res.swapOrigin(k))
-		}
-		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, left, right)
-		return res, err
-	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
-		return nil, err
-	}
-	res := &LUResult{A: a}
-	b := newCALUBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
-	if opt.Verify {
-		b.wsums = wsums[:a.Cols]
-		b.vsums = make([]float64, a.Cols)
-		b.recomputed = make([]bool, b.nb)
-	}
-	b.build()
-	events, err := runGraph(ctx, b.g, &opt, pool)
-	res.Events = events
-	res.Graph = b.g
-	res.Swaps = b.swaps
-	for k, fb := range b.fellBack {
-		if fb {
-			res.FallbackPanels = append(res.FallbackPanels, k)
-		}
-	}
-	for k, rc := range b.recomputed {
-		if rc {
-			res.RecomputedPanels = append(res.RecomputedPanels, k)
-		}
-	}
-	if err != nil {
-		return res, fmt.Errorf("core: CALU execution failed: %w", err)
-	}
-	// Deferred application of row interchanges to the L blocks left of each
-	// panel (Algorithm 1 line 41).
-	for k := 1; k < len(b.swaps); k++ {
-		left := a.View(0, 0, a.Rows, k*opt.BlockSize)
-		tslu.ApplyPivots(left, b.swaps[k], k*opt.BlockSize)
-	}
-	for k, err := range b.errs {
-		if err != nil {
-			return res, fmt.Errorf("core: CALU panel %d: %w", k, err)
-		}
-	}
-	return res, nil
+	return p.Finish(Run(context.Background(), nil, p)) // calint:ignore ctx-propagation -- documented ctx-free entry point
 }
 
 // BuildCALUGraph constructs the CALU task graph for an m x n matrix without
@@ -187,7 +104,6 @@ type caluBuilder struct {
 
 	// Binding state; nil for graph-only builds.
 	a        *matrix.Dense
-	res      *LUResult
 	swaps    [][]int
 	errs     []error
 	maxA     float64 // max|A| of the input, guardrail denominator
@@ -245,11 +161,6 @@ func newCALUBuilder(m, n int, opt *Options) *caluBuilder {
 		errs:     make([]error, nb),
 		fellBack: make([]bool, nb),
 	}
-}
-
-func (b *caluBuilder) bind(a *matrix.Dense, res *LUResult) {
-	b.a = a
-	b.res = res
 }
 
 // dep adds deduplicated dependencies from each task in pres to t.

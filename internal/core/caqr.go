@@ -110,70 +110,17 @@ func (r *QRResult) LeastSquares(rhs *matrix.Dense) *matrix.Dense {
 // per-panel TSQR reduction trees whose node transformations also drive the
 // trailing-matrix update tasks, dynamically scheduled with look-ahead
 // priorities. It returns an error wrapping ErrShape for malformed inputs.
+// It is PrepareCAQR, Run on a private pool and Finish.
 //
 // Wide matrices (m < n) are handled LAPACK-style: the leading m x m block
 // is factored and Q^T is applied to the remaining columns, leaving the
 // m x n upper-trapezoidal R in place.
 func CAQR(a *matrix.Dense, opt Options) (*QRResult, error) {
-	return CAQRWithPool(a, opt, nil)
-}
-
-// CAQRWithPool is CAQR executed on a caller-owned persistent worker pool,
-// mirroring CALUWithPool: opt.Workers is ignored and the graph is submitted
-// to pool, sharing its workers with any concurrent submissions. A nil pool
-// falls back to a private one-shot pool.
-func CAQRWithPool(a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
-	return CAQRWithPoolCtx(context.Background(), a, opt, pool) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// CAQRWithPoolCtx is CAQRWithPool bound to a context, with the same
-// semantics as CALUWithPoolCtx: cancellation is observed between tasks, the
-// remaining tasks drain unrun, the returned error wraps ctx's error, and a
-// non-nil result accompanying an error is partial and must not be used.
-// The pool and any concurrent submissions are unaffected, and no
-// internal/scratch workspace outlives the task that acquired it.
-func CAQRWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
+	p, err := PrepareCAQR(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	if a.Rows < a.Cols {
-		left := a.View(0, 0, a.Rows, a.Rows)
-		res, err := CAQRWithPoolCtx(ctx, left, opt, pool)
-		if err != nil {
-			return nil, err
-		}
-		res.A = a
-		right := a.View(0, a.Rows, a.Rows, a.Cols-a.Rows)
-		applyPanelsQT(res, right)
-		return res, nil
-	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
-		return nil, err
-	}
-	res := &QRResult{A: a}
-	b := newCAQRBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
-	if opt.Verify {
-		b.wsums = wsums
-		b.u = onesVector(a.Rows)
-	}
-	b.build()
-	events, err := runGraph(ctx, b.g, &opt, pool)
-	res.Events = events
-	res.Graph = b.g
-	if err != nil {
-		return res, fmt.Errorf("core: CAQR execution failed: %w", err)
-	}
-	return res, nil
+	return p.Finish(Run(context.Background(), nil, p)) // calint:ignore ctx-propagation -- documented ctx-free entry point
 }
 
 // BuildCAQRGraph constructs the CAQR task graph without binding numeric
@@ -243,11 +190,6 @@ func newCAQRBuilder(m, n int, opt *Options) *caqrBuilder {
 		nb:     nb,
 		fronts: make([]frontier, nb),
 	}
-}
-
-func (b *caqrBuilder) bind(a *matrix.Dense, res *QRResult) {
-	b.a = a
-	b.res = res
 }
 
 func (b *caqrBuilder) dep(t *sched.Task, pres ...*sched.Task) {
@@ -387,8 +329,12 @@ func (b *caqrBuilder) buildIteration(k int) {
 					merge = tsqr.MergeCarriersStructured
 				}
 				t.Run = func() { f.Levels[l][q] = merge(f.Panel, in) }
+				// The merged R lives in the output carrier's upper triangle;
+				// below its diagonal are reflectors of other nodes, which
+				// tasks running concurrently read. The panel's last column
+				// holds a whole column of R and nothing else.
 				out := node.Out
-				t.Out = func() []float64 { return b.a.Col(c0)[r0+out.Row : r0+out.Row+out.K] }
+				t.Out = func() []float64 { return b.a.Col(c0 + w - 1)[r0+out.Row : r0+out.Row+out.K] }
 			}
 			b.g.Add(t)
 			b.dep(t, deps...)

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -175,22 +174,10 @@ func (o *Options) normalize(m, n int) error {
 	return nil
 }
 
-// validateInput performs the shape checks shared by CALU and CAQR entry
-// points (the wide m < n case is legal there and handled by recursion, so
-// it is not rejected here).
-func validateInput(a *matrix.Dense) error {
-	if a == nil {
-		return fmt.Errorf("%w: nil matrix", ErrShape)
-	}
-	if a.Rows < 1 || a.Cols < 1 {
-		return fmt.Errorf("%w: %dx%d matrix", ErrShape, a.Rows, a.Cols)
-	}
-	return nil
-}
-
 // scanFinite walks the matrix once, returning an error wrapping
 // ErrNonFinite (with the first offending coordinate) if any entry is NaN
-// or Inf, and max|A| otherwise. The max feeds the pivot-growth guardrail's
+// or Inf, and otherwise max|A| over the leading min(m, n) columns — the
+// block the task graph factors. The max feeds the pivot-growth guardrail's
 // denominator, so the pre-factorization scan does double duty in one pass.
 // A non-nil colsums (length >= a.Cols) additionally receives the column
 // sums of the pristine input — the ABFT checksum vector verify mode checks
@@ -204,7 +191,7 @@ func scanFinite(a *matrix.Dense, colsums []float64) (float64, error) {
 				return 0, fmt.Errorf("%w: A(%d,%d) = %v", ErrNonFinite, i, j, v)
 			}
 			sum += v
-			if v = math.Abs(v); v > maxA {
+			if v = math.Abs(v); v > maxA && j < a.Rows {
 				maxA = v
 			}
 		}
@@ -226,28 +213,6 @@ func priority(opt *Options, nBlocks, iter, col, bonus int) int {
 		return (nBlocks-col)*1000 + bonus
 	}
 	return (nBlocks-iter)*1000 + bonus
-}
-
-// runGraph executes a built graph on the given pool, or — when pool is nil
-// — on a private one-shot pool sized by opt.Workers. Task panics are
-// captured per submission and come back as the error; with a shared pool a
-// failed submission leaves the pool usable. Cancellation of ctx is observed
-// between tasks: the submission drains without running its remaining tasks
-// and the returned error wraps ctx's error.
-func runGraph(ctx context.Context, g *sched.Graph, opt *Options, pool *sched.Pool) ([]sched.Event, error) {
-	if pool == nil {
-		pool = sched.NewPool(opt.Workers)
-		defer pool.Close()
-	}
-	so := sched.SubmitOptions{Trace: opt.Trace}
-	if opt.WorkStealing {
-		so.Policy = sched.Stealing
-	}
-	sub, err := pool.SubmitCtx(ctx, g, so)
-	if err != nil {
-		return nil, err
-	}
-	return sub.Wait()
 }
 
 // Within-column task bonuses: the panel chain (P then L) outranks U, which

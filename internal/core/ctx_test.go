@@ -10,14 +10,34 @@ import (
 	"repro/internal/sched"
 )
 
+// runCALU and runCAQR factor a on pool (nil: a private pool) under ctx
+// through the request pipeline.
+func runCALU(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
+	p, err := PrepareCALU(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Finish(Run(ctx, pool, p))
+}
+
+func runCAQR(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
+	p, err := PrepareCAQR(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Finish(Run(ctx, pool, p))
+}
+
+// TestCALUWithPoolCtxPreCancelled runs CALU under an already-cancelled
+// context: Run must reject the submission before any task runs.
 func TestCALUWithPoolCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := matrix.Random(60, 30, 1)
 	orig := a.Clone()
-	_, err := CALUWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	_, err := runCALU(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CALUWithPoolCtx = %v, want context.Canceled", err)
+		t.Fatalf("CALU run = %v, want context.Canceled", err)
 	}
 	// Rejected before submission: not a single task ran, a is untouched.
 	if !a.Equal(orig) {
@@ -29,24 +49,29 @@ func TestCAQRWithPoolCtxDeadlineAlreadyExpired(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	a := matrix.Random(60, 30, 2)
-	_, err := CAQRWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	_, err := runCAQR(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("CAQRWithPoolCtx = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("CAQR run = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestCALUWithPoolCtxWideMatrixPreCancelled covers the wide-matrix (m < n)
-// recursion path: the context error must propagate out of the inner call.
+// path: the context error must propagate out of Finish, with no partial
+// result and the trailing columns untouched.
 func TestCALUWithPoolCtxWideMatrixPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := matrix.Random(20, 50, 3)
-	res, err := CALUWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	orig := a.Clone()
+	res, err := runCALU(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("wide CALUWithPoolCtx = %v, want context.Canceled", err)
+		t.Fatalf("wide CALU run = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatal("wide CALUWithPoolCtx returned a partial result alongside the error")
+		t.Fatal("wide CALU run returned a partial result alongside the error")
+	}
+	if !a.Equal(orig) {
+		t.Fatal("pre-cancelled wide CALU modified the input matrix")
 	}
 }
 
@@ -59,7 +84,7 @@ func TestCtxCancelledSharedPoolStaysUsable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CALUWithPoolCtx(ctx, matrix.Random(80, 40, 4), opt, pool); !errors.Is(err, context.Canceled) {
+	if _, err := runCALU(ctx, matrix.Random(80, 40, 4), opt, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CALU = %v, want context.Canceled", err)
 	}
 
@@ -68,7 +93,7 @@ func TestCtxCancelledSharedPoolStaysUsable(t *testing.T) {
 	if _, err := CALU(want, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CALUWithPool(a, opt, pool); err != nil {
+	if _, err := runCALU(context.Background(), a, opt, pool); err != nil {
 		t.Fatalf("pool unusable after cancelled submission: %v", err)
 	}
 	if !a.Equal(want) {

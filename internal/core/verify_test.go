@@ -8,6 +8,7 @@ package core_test
 // the fault injector's post-run corruption hook installed.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -28,6 +29,23 @@ func randDense(rng *rand.Rand, r, c int) *matrix.Dense {
 		}
 	}
 	return a
+}
+
+// caluOn and caqrOn factor a on pool through the request pipeline.
+func caluOn(pool *sched.Pool, a *matrix.Dense, opt core.Options) (*core.LUResult, error) {
+	p, err := core.PrepareCALU(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Finish(core.Run(context.Background(), pool, p))
+}
+
+func caqrOn(pool *sched.Pool, a *matrix.Dense, opt core.Options) (*core.QRResult, error) {
+	p, err := core.PrepareCAQR(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Finish(core.Run(context.Background(), pool, p))
 }
 
 func verifyOpts(n int) core.Options {
@@ -55,7 +73,7 @@ func solveCheck(t *testing.T, a *matrix.Dense, opt core.Options, pool *sched.Poo
 		}
 		rhs.Set(i, 0, s)
 	}
-	res, err := core.CALUWithPool(a.Clone(), opt, pool)
+	res, err := caluOn(pool, a.Clone(), opt)
 	if err != nil {
 		t.Fatalf("CALU: %v", err)
 	}
@@ -187,7 +205,7 @@ func TestCALUVerifyEscalatesUpdateCorruption(t *testing.T) {
 	inj := fault.New(2, fault.Rule{Kind: fault.Corrupt, Match: "S k=0 i=0 j=2", Rate: 1, Count: 1})
 	pool.SetPostInterceptor(inj.InterceptPost)
 
-	_, err := core.CALUWithPool(a.Clone(), opt, pool)
+	_, err := caluOn(pool, a.Clone(), opt)
 	if got := inj.Injected(fault.Corrupt); got != 1 {
 		t.Fatalf("injected %d corruptions, want 1", got)
 	}
@@ -207,7 +225,7 @@ func TestCAQRVerifyEscalatesCorruption(t *testing.T) {
 		pool := sched.NewPool(4)
 		inj := fault.New(3, fault.Rule{Kind: fault.Corrupt, Match: match, Rate: 1, Count: 1})
 		pool.SetPostInterceptor(inj.InterceptPost)
-		_, err := core.CAQRWithPool(a.Clone(), opt, pool)
+		_, err := caqrOn(pool, a.Clone(), opt)
 		pool.Close()
 		if got := inj.Injected(fault.Corrupt); got != 1 {
 			t.Fatalf("%s: injected %d corruptions, want 1", match, got)
@@ -253,7 +271,7 @@ func TestCALUVerifyBudgetExhausted(t *testing.T) {
 	inj := fault.New(1, fault.Rule{Kind: fault.Corrupt, Match: "P k=1 leaf=0", Rate: 1, Count: 1, Perturb: 1e6})
 	pool.SetPostInterceptor(inj.InterceptPost)
 
-	_, err := core.CALUWithPool(a.Clone(), opt, pool)
+	_, err := caluOn(pool, a.Clone(), opt)
 	if !errors.Is(err, core.ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}

@@ -90,9 +90,9 @@ type SubmitOptions struct {
 // same cores; a panicking task fails only its own submission and leaves the
 // pool usable.
 //
-// Runner and StealingRunner are thin one-shot shims over a private Pool;
-// long-lived callers (factor.Engine) hold one Pool and amortize worker
-// startup across many factorizations.
+// It is the only executor: long-lived callers (factor.Engine) hold one Pool
+// and amortize worker startup across many factorizations, and one-shot
+// callers create a Pool, submit one graph and Close it.
 type Pool struct {
 	workers int
 

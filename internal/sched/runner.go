@@ -36,53 +36,6 @@ func (h *taskHeap) Pop() any {
 	return t
 }
 
-// Runner executes one task graph on a private, one-shot Pool with the
-// centralized priority policy: whenever a worker is free it picks the
-// highest-priority ready task, exactly as the paper's dynamic scheduler
-// does. It is a compatibility shim kept for the ablations and simple
-// callers; long-lived services should hold a Pool (or factor.Engine) and
-// submit graphs to it directly.
-type Runner struct {
-	// Workers is the number of concurrent goroutines; it plays the role of
-	// the number of cores. Must be >= 1.
-	Workers int
-	// Trace, when true, records an Event per task.
-	Trace bool
-}
-
-// Run executes every task in g and returns the trace (nil unless Trace is
-// set). It panics if the graph fails validation, since a malformed graph is
-// a bug in the algorithm that built it.
-//
-// If a task's Run panics, the panic is captured, remaining work is drained
-// without executing further tasks, and the captured error is re-raised as a
-// panic on the caller's goroutine once the submission has drained — so a
-// numeric bug surfaces as a normal panic at the Run call site rather than
-// crashing an anonymous worker goroutine.
-func (r *Runner) Run(g *Graph) []Event {
-	return runOneShot(g, r.Workers, SubmitOptions{Trace: r.Trace})
-}
-
-// runOneShot executes g on a pool created and closed for this single
-// submission, preserving the historical Runner contract: invalid graphs and
-// task panics surface as panics at the call site.
-func runOneShot(g *Graph, workers int, opt SubmitOptions) []Event {
-	if workers < 1 {
-		panic(fmt.Sprintf("sched: %d workers", workers))
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	sub, err := p.Submit(g, opt)
-	if err != nil {
-		panic(err)
-	}
-	events, err := sub.Wait()
-	if err != nil {
-		panic(err)
-	}
-	return events
-}
-
 // runTask executes one task, converting a panic into a returned error. A
 // panic that already carries an error — the library packages' typed
 // preconditions, e.g. panic(fmt.Errorf("%w: ...", blas.ErrShape, ...)) —
@@ -120,11 +73,4 @@ func runTask(t *Task, ic Interceptor, post PostInterceptor, worker int) (capture
 		post(TaskInfo{Label: t.Label, Kind: t.Kind, Worker: worker, Output: t.Out})
 	}
 	return nil
-}
-
-// RunSequential executes the graph on the calling goroutine in priority
-// order. Useful in tests to check graph-order independence of results.
-func RunSequential(g *Graph) {
-	r := Runner{Workers: 1}
-	r.Run(g)
 }

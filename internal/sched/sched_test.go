@@ -58,6 +58,29 @@ func TestValidateOKChain(t *testing.T) {
 	}
 }
 
+// runOnPool executes g the way a one-shot caller does: on a private pool of
+// the given size, closed afterwards. It returns the trace and the error of
+// Submit (an invalid graph) or Wait (a failed task).
+func runOnPool(workers int, g *Graph, opt SubmitOptions) ([]Event, error) {
+	p := NewPool(workers)
+	defer p.Close()
+	sub, err := p.Submit(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sub.Wait()
+}
+
+// mustRun is runOnPool for graphs that must run cleanly.
+func mustRun(t *testing.T, workers int, g *Graph, opt SubmitOptions) []Event {
+	t.Helper()
+	events, err := runOnPool(workers, g, opt)
+	if err != nil {
+		t.Fatalf("run on %d workers: %v", workers, err)
+	}
+	return events
+}
+
 func TestRunnerRespectsDependencies(t *testing.T) {
 	// Build a diamond: a -> {b, c} -> d and verify observed order.
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -79,7 +102,7 @@ func TestRunnerRespectsDependencies(t *testing.T) {
 		g.AddDep(a, c)
 		g.AddDep(b, d)
 		g.AddDep(c, d)
-		(&Runner{Workers: workers}).Run(g)
+		mustRun(t, workers, g, SubmitOptions{})
 		if len(order) != 4 || order[0] != 0 || order[3] != 3 {
 			t.Fatalf("workers=%d order=%v", workers, order)
 		}
@@ -96,7 +119,7 @@ func TestRunnerPriorityOrderSequential(t *testing.T) {
 	g.Add(&Task{Run: rec(1), Priority: 5})
 	g.Add(&Task{Run: rec(2), Priority: 5})
 	g.Add(&Task{Run: rec(3), Priority: 9})
-	(&Runner{Workers: 1}).Run(g)
+	mustRun(t, 1, g, SubmitOptions{})
 	want := []int{3, 1, 2, 0}
 	for i := range want {
 		if order[i] != want[i] {
@@ -120,7 +143,7 @@ func TestRunnerAllTasksRunOnce(t *testing.T) {
 			g.AddDep(tasks[i-7], tasks[i])
 		}
 	}
-	(&Runner{Workers: 4}).Run(g)
+	mustRun(t, 4, g, SubmitOptions{})
 	if count.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", count.Load(), n)
 	}
@@ -131,7 +154,7 @@ func TestRunnerTraceEvents(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.Add(&Task{Kind: KindS, Run: func() {}})
 	}
-	events := (&Runner{Workers: 3, Trace: true}).Run(g)
+	events := mustRun(t, 3, g, SubmitOptions{Trace: true})
 	if len(events) != 20 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -151,23 +174,22 @@ func TestRunnerTraceEvents(t *testing.T) {
 }
 
 func TestRunnerEmptyGraph(t *testing.T) {
-	if ev := (&Runner{Workers: 2, Trace: true}).Run(NewGraph()); ev != nil {
+	if ev := mustRun(t, 2, NewGraph(), SubmitOptions{Trace: true}); ev != nil {
 		t.Fatalf("expected nil events, got %v", ev)
 	}
 }
 
+// TestRunnerInvalidGraphPanics: a malformed (cyclic) graph is rejected by
+// Submit with an error before any task runs.
 func TestRunnerInvalidGraphPanics(t *testing.T) {
 	g := NewGraph()
 	a := g.Add(&Task{})
 	b := g.Add(&Task{})
 	g.AddDep(a, b)
 	g.AddDep(b, a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Runner{Workers: 1}).Run(g)
+	if _, err := runOnPool(1, g, SubmitOptions{}); err == nil {
+		t.Fatal("cyclic graph accepted by Submit")
+	}
 }
 
 func TestCriticalPath(t *testing.T) {
@@ -215,7 +237,9 @@ func TestRunnerTopologicalProperty(t *testing.T) {
 			g.AddDep(tasks[j], tasks[i])
 			edges = append(edges, [2]int{j, i})
 		}
-		(&Runner{Workers: w}).Run(g)
+		if _, err := runOnPool(w, g, SubmitOptions{}); err != nil {
+			return false
+		}
 		for _, e := range edges {
 			if pos[e[0]] >= pos[e[1]] {
 				return false
@@ -240,16 +264,9 @@ func TestRunnerTaskPanicPropagates(t *testing.T) {
 			ran.Add(1)
 		}})
 	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected the task panic to reach the caller")
-		}
-		if msg, ok := p.(error); !ok || msg == nil {
-			t.Fatalf("panic payload %v (%T) not the wrapped error", p, p)
-		}
-	}()
-	(&Runner{Workers: 4}).Run(g)
+	if _, err := runOnPool(4, g, SubmitOptions{}); err == nil {
+		t.Fatal("expected the task panic to reach the caller as Wait's error")
+	}
 }
 
 func TestRunnerPanicStopsRemainingWork(t *testing.T) {
@@ -260,10 +277,9 @@ func TestRunnerPanicStopsRemainingWork(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.Add(&Task{Run: func() { ran.Add(1) }})
 	}
-	func() {
-		defer func() { recover() }()
-		(&Runner{Workers: 1}).Run(g)
-	}()
+	if _, err := runOnPool(1, g, SubmitOptions{}); err == nil {
+		t.Fatal("expected the task panic as Wait's error")
+	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d tasks ran after the panic", ran.Load())
 	}
@@ -282,7 +298,7 @@ func TestStealingRunnerAllTasksOnce(t *testing.T) {
 			g.AddDep(tasks[i-7], tasks[i])
 		}
 		count.Store(0)
-		(&StealingRunner{Workers: workers}).Run(g)
+		mustRun(t, workers, g, SubmitOptions{Policy: Stealing})
 		if count.Load() != n {
 			t.Fatalf("workers=%d: ran %d of %d", workers, count.Load(), n)
 		}
@@ -309,7 +325,9 @@ func TestStealingRunnerTopologicalProperty(t *testing.T) {
 			g.AddDep(tasks[j], tasks[i])
 			edges = append(edges, [2]int{j, i})
 		}
-		(&StealingRunner{Workers: w, Seed: seed}).Run(g)
+		if _, err := runOnPool(w, g, SubmitOptions{Policy: Stealing, Seed: seed}); err != nil {
+			return false
+		}
 		for _, e := range edges {
 			if pos[e[0]] >= pos[e[1]] {
 				return false
@@ -327,7 +345,7 @@ func TestStealingRunnerTrace(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		g.Add(&Task{Run: func() {}})
 	}
-	events := (&StealingRunner{Workers: 3, Trace: true}).Run(g)
+	events := mustRun(t, 3, g, SubmitOptions{Trace: true, Policy: Stealing})
 	if len(events) != 25 {
 		t.Fatalf("%d events", len(events))
 	}
@@ -339,16 +357,13 @@ func TestStealingRunnerPanicPropagates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Add(&Task{Run: func() {}})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&StealingRunner{Workers: 3}).Run(g)
+	if _, err := runOnPool(3, g, SubmitOptions{Policy: Stealing}); err == nil {
+		t.Fatal("expected the task panic as Wait's error")
+	}
 }
 
 func TestStealingRunnerEmptyGraph(t *testing.T) {
-	if ev := (&StealingRunner{Workers: 2, Trace: true}).Run(NewGraph()); ev != nil {
+	if ev := mustRun(t, 2, NewGraph(), SubmitOptions{Trace: true, Policy: Stealing}); ev != nil {
 		t.Fatalf("events %v", ev)
 	}
 }

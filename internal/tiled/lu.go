@@ -60,9 +60,11 @@ func GETRF(a *matrix.Dense, opt Options) (*LU, error) {
 	panicIf(a.Rows < a.Cols, "tiled: GETRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &LU{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
 	g := buildLUGraph(res.g, res)
-	runner := sched.Runner{Workers: opt.Workers, Trace: opt.Trace}
-	res.Events = runner.Run(g)
-	res.Graph = g
+	events, err := run(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Events, res.Graph = events, g
 	return res, res.err
 }
 

@@ -41,9 +41,11 @@ func GEQRF(a *matrix.Dense, opt Options) *QR {
 	panicIf(a.Rows < a.Cols, "tiled: GEQRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &QR{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
 	g := buildQRGraph(res.g, res)
-	runner := sched.Runner{Workers: opt.Workers, Trace: opt.Trace}
-	res.Events = runner.Run(g)
-	res.Graph = g
+	events, err := run(g, opt)
+	if err != nil {
+		panic(err) // only a kernel bug fails a task; GEQRF reports no errors
+	}
+	res.Events, res.Graph = events, g
 	return res
 }
 

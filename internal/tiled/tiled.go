@@ -113,6 +113,18 @@ func fcube(n int) float64 {
 	return f * f * f
 }
 
+// run executes a bound graph on a private pool of opt.Workers goroutines,
+// returning the trace (nil unless opt.Trace) and the error of a failed task.
+func run(g *sched.Graph, opt Options) ([]sched.Event, error) {
+	pool := sched.NewPool(opt.Workers)
+	defer pool.Close()
+	sub, err := pool.Submit(g, sched.SubmitOptions{Trace: opt.Trace})
+	if err != nil {
+		return nil, err
+	}
+	return sub.Wait()
+}
+
 func panicIf(cond bool, format string, args ...any) {
 	if cond {
 		panic(fmt.Sprintf(format, args...))
