@@ -43,7 +43,10 @@ func chaosVerify(t *testing.T, eng *Engine) {
 // retry, the pool must survive, and the engine must serve the next
 // request cleanly.
 func TestChaosPanicRetrySucceeds(t *testing.T) {
-	inj := fault.New(17, fault.Rule{Kind: fault.Panic, Rate: 1, Count: 2})
+	// The first panel's F task runs exactly once per attempt, so matching
+	// it gives each attempt exactly one panic; an unmatched rule could
+	// land both panics in one attempt when P leaves run in parallel.
+	inj := fault.New(17, fault.Rule{Kind: fault.Panic, Match: "F k=0", Rate: 1, Count: 2})
 	eng := NewEngineWithConfig(EngineConfig{
 		Workers: 4, MaxRetries: 3, RetryBackoff: time.Millisecond,
 		Interceptor: inj.Intercept,

@@ -99,10 +99,11 @@ type EngineConfig struct {
 	// factor). See doc/SERVICE.md.
 	CacheEntries int
 	// BatchWindow enables request coalescing: eligible factorizations
-	// (m >= n, both dimensions <= BatchMaxDim, no Trace) arriving within
-	// this window are merged into a single pool submission, so many small
-	// requests keep the workers saturated instead of trickling in one tiny
-	// graph at a time. 0 disables coalescing. See doc/SERVICE.md.
+	// (m >= n, both dimensions <= BatchMaxDim, no Trace, no WorkStealing)
+	// arriving within this window are merged into a single pool
+	// submission, so many small requests keep the workers saturated
+	// instead of trickling in one tiny graph at a time. 0 disables
+	// coalescing. See doc/SERVICE.md.
 	BatchWindow time.Duration
 	// BatchMaxRequests flushes a coalescing window early once this many
 	// requests are pending. 0 means 16.

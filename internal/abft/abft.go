@@ -102,9 +102,10 @@ func VerifyLUPanel(a *matrix.Dense, idx []int, fac *matrix.Dense, c0 int, tol fl
 	ok := true
 	for j := 0; j < w; j++ {
 		facCol := fac.Col(j)
+		aCol := a.Col(c0 + j)
 		actual := 0.0
 		for i := 0; i < kk; i++ {
-			actual += a.Col(c0 + j)[idx[i]]
+			actual += aCol[idx[i]]
 		}
 		pred := 0.0
 		for t := 0; t <= j && t < kk; t++ {

@@ -49,6 +49,10 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/blas", "packA"},
 	{"internal/blas", "packB"},
 	{"internal/blas", "macroKernel"},
+	// The recursive triangular drivers run inside every CALU L/U task and
+	// every Larfb (CAQR S tasks, GEQR3 nodes).
+	{"internal/blas", "Dtrsm"},
+	{"internal/blas", "Dtrmm"},
 	{"internal/sched", "runTask"},
 	// ABFT checksum verification runs once per panel inside the task graph
 	// (V and finalize tasks); an allocation here taxes every verified

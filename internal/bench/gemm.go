@@ -1,8 +1,10 @@
 package bench
 
 // GEMM performance trajectory: the packed Goto-style Dgemm (internal/blas)
-// against the frozen pre-refactor reference (internal/baseline), plus the
-// BenchmarkEngineReuse-shaped end-to-end LU as the workload-level check.
+// against the frozen pre-refactor reference (internal/baseline), the
+// triangular task-body kernels (recursive Dtrsm/Dtrmm) against theirs,
+// plus the BenchmarkEngineReuse-shaped end-to-end LU as the workload-level
+// check.
 // cmd/cabench serializes the report to BENCH_gemm.json so the perf
 // trajectory is checked in alongside the code, and CI gates on the 512
 // square speedup staying above a floor.
@@ -38,6 +40,26 @@ type GemmCase struct {
 	Speedup float64 `json:"speedup"`
 }
 
+// TriCase is one measured triangular-kernel shape: the Dtrsm/Dtrmm call a
+// CALU or CAQR task body issues, timed on the recursive packed driver and
+// on the frozen reference.
+type TriCase struct {
+	// Name labels the task shape (calu-L, calu-U, larfb-trmm).
+	Name string `json:"name"`
+	// Routine is "trsm" or "trmm"; Variant spells side, uplo, trans and
+	// diag as BLAS letters (for example "RUNN": Right, Upper, NoTrans,
+	// NonUnit).
+	Routine string `json:"routine"`
+	Variant string `json:"variant"`
+	M       int    `json:"m"`
+	N       int    `json:"n"`
+	// PackedGFlops, BaselineGFlops and Speedup are as in GemmCase; the
+	// flop count is m·n·order for a triangle of that order.
+	PackedGFlops   float64 `json:"packed_gflops"`
+	BaselineGFlops float64 `json:"baseline_gflops"`
+	Speedup        float64 `json:"speedup"`
+}
+
 // EngineReuseResult is the end-to-end workload check: the
 // BenchmarkEngineReuse shape (repeated 1000x200 CALU through a persistent
 // engine) timed against the current BLAS. The "before" side of the
@@ -64,6 +86,8 @@ type GemmReport struct {
 	// Cases covers 128-1024 square plus the panel shapes the factorizations
 	// actually issue.
 	Cases []GemmCase `json:"cases"`
+	// Triangular covers the Dtrsm/Dtrmm shapes of the task bodies.
+	Triangular []TriCase `json:"triangular"`
 	// EngineReuse is the end-to-end LU workload measurement.
 	EngineReuse EngineReuseResult `json:"engine_reuse"`
 }
@@ -88,6 +112,60 @@ var gemmShapes = []struct {
 	{"larfb-vtc", blas.Trans, 64, 256, 1984},
 	{"larfb-cvw", blas.NoTrans, 1984, 256, 64},
 	{"larfb-small-t", blas.NoTrans, 64, 256, 64},
+}
+
+// triShapes are the triangular calls inside the factorization tasks:
+// CALU's L block (X·U = A below the panel's composite), its U block
+// (L\A right of the panel) and the Vᵀ-triangle product that opens every
+// Larfb (CAQR S tasks, GEQR3 nodes).
+var triShapes = []struct {
+	name, routine, variant string
+	side                   blas.Side
+	uplo                   blas.Uplo
+	trans                  blas.Transpose
+	diag                   blas.Diag
+	m, n                   int
+}{
+	{"calu-L", "trsm", "RUNN", blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 2500, 100},
+	{"calu-U", "trsm", "LLNU", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
+	{"larfb-trmm", "trmm", "LLTU", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
+}
+
+// triKernel is a Dtrsm/Dtrmm-shaped routine.
+type triKernel func(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int)
+
+// timeTri measures one triangular routine at the given shape. B is reset
+// from a saved copy before every call, outside the timed region, so
+// repeated solves or products cannot drift into subnormals.
+func timeTri(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, minSample time.Duration, run triKernel) float64 {
+	na := m
+	if side == blas.Right {
+		na = n
+	}
+	a := fillSeq(na * na)
+	for i := range a {
+		a[i] /= float64(8 * na)
+	}
+	for i := 0; i < na; i++ {
+		a[i*na+i] = 1
+	}
+	b0 := fillSeq(m * n)
+	b := make([]float64, m*n)
+	var el time.Duration
+	reps := 0
+	for warm := true; ; warm = false {
+		copy(b, b0)
+		start := time.Now()
+		run(side, uplo, trans, diag, m, n, 1, a, na, b, m)
+		if warm {
+			continue
+		}
+		el += time.Since(start)
+		reps++
+		if el >= minSample && reps >= 2 {
+			return gflops(float64(m)*float64(n)*float64(na)*float64(reps), el.Seconds())
+		}
+	}
 }
 
 // timeGemm measures one gemm implementation at m x n x k (with op(A) = Aᵀ
@@ -156,6 +234,22 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 		}
 		rep.Cases = append(rep.Cases, gc)
 	}
+	for _, s := range triShapes {
+		packed, ref := triKernel(blas.Dtrsm), triKernel(baseline.RefTrsm)
+		if s.routine == "trmm" {
+			packed, ref = blas.Dtrmm, baseline.RefTrmm
+		}
+		progress(cfg, "tri %s: packed...", s.name)
+		pg := timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, packed)
+		progress(cfg, "tri %s: baseline...", s.name)
+		bg := timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, ref)
+		tc := TriCase{Name: s.name, Routine: s.routine, Variant: s.variant, M: s.m, N: s.n,
+			PackedGFlops: pg, BaselineGFlops: bg}
+		if bg > 0 {
+			tc.Speedup = pg / bg
+		}
+		rep.Triangular = append(rep.Triangular, tc)
+	}
 	rep.EngineReuse = runEngineReuse(cfg)
 	return rep
 }
@@ -213,7 +307,7 @@ func (r *GemmReport) WriteJSON(w io.Writer) error {
 func (r *GemmReport) Table() *Table {
 	t := &Table{
 		ID:       "gemm",
-		Title:    "Packed Dgemm vs frozen baseline (GFlop/s)",
+		Title:    "Packed Dgemm and Dtrsm/Dtrmm vs frozen baseline (GFlop/s)",
 		PaperRef: "kernel trajectory (doc/KERNELS.md)",
 		Columns:  []string{"packed", "baseline", "speedup"},
 		Unit:     "GFlop/s (speedup is a ratio)",
@@ -223,6 +317,14 @@ func (r *GemmReport) Table() *Table {
 	for _, c := range r.Cases {
 		t.Rows = append(t.Rows, RowData{
 			Label: fmt.Sprintf("%s (%dx%dx%d)", c.Name, c.M, c.N, c.K),
+			Values: map[string]float64{
+				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
+			},
+		})
+	}
+	for _, c := range r.Triangular {
+		t.Rows = append(t.Rows, RowData{
+			Label: fmt.Sprintf("%s %s %s (%dx%d)", c.Name, c.Routine, c.Variant, c.M, c.N),
 			Values: map[string]float64{
 				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
 			},

@@ -37,6 +37,54 @@ func TestDgemmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDtrsmZeroAlloc pins the recursive Dtrsm to zero steady-state
+// allocations on the CALU L-task shape: the recursion only reslices, and
+// its Dgemm updates take their pack buffers from internal/scratch.
+func TestDtrsmZeroAlloc(t *testing.T) {
+	const m, n = 2500, 100
+	a, b := dominantTriangle(n, m*n)
+	run := func() {
+		Dtrsm(Right, Upper, NoTrans, NonUnit, m, n, 1, a, n, b, m)
+	}
+	run()
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("Dtrsm(%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, avg)
+	}
+}
+
+// TestDtrmmZeroAlloc is the Dtrmm counterpart, on the Larfb shape.
+func TestDtrmmZeroAlloc(t *testing.T) {
+	const n = 100
+	a, b := dominantTriangle(n, n*n)
+	run := func() {
+		Dtrmm(Left, Lower, Trans, Unit, n, n, 1, a, n, b, n)
+	}
+	run()
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("Dtrmm(%d×%d) allocates %.1f objects per call in steady state, want 0", n, n, avg)
+	}
+}
+
+// dominantTriangle returns an n x n triangle-bearing matrix with a dominant
+// diagonal (so repeated solves stay finite) and a right-hand side of size
+// nb.
+func dominantTriangle(n, nb int) (a, b []float64) {
+	a = make([]float64, n*n)
+	for i := range a {
+		a[i] = float64(i%7) * 0.01
+	}
+	for i := 0; i < n; i++ {
+		a[i*n+i] = 1
+	}
+	b = make([]float64, nb)
+	for i := range b {
+		b[i] = float64(i%5) * 0.25
+	}
+	return a, b
+}
+
 // TestScratchZeroAlloc pins the Get/Put round trip itself to zero
 // allocations once the buffer and its header box are pooled.
 func TestScratchZeroAlloc(t *testing.T) {

@@ -111,8 +111,60 @@ func TestDgemmDifferential(t *testing.T) {
 	})
 }
 
-// triSizes cross the trsmNB=64 diagonal-block boundary on both sides.
-var triSizes = []int{1, 2, 5, 8, 9, 17, 63, 64, 65, 100, 130}
+// triSizes cross the recursive drivers' order-8 base and their split
+// points (multiples of 8) on both sides.
+var triSizes = []int{1, 2, 5, 7, 8, 9, 15, 16, 17, 33, 100, 130}
+
+// triShape is one triangular call the factorizations issue: side, uplo,
+// trans and diag fixed, m x n right-hand side.
+type triShape struct {
+	name  string
+	side  blas.Side
+	uplo  blas.Uplo
+	trans blas.Transpose
+	diag  blas.Diag
+	m, n  int
+}
+
+// triProduction are the task-body shapes appended to the differential
+// sweeps: CALU's L and U blocks and the Vᵀ-triangle product of Larfb.
+var triProduction = []triShape{
+	{"calu-L", blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 2500, 100},
+	{"calu-U", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
+	{"larfb-trmm", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
+}
+
+// order is the order of the triangle: m on the Left, n on the Right.
+func (c triShape) order() int {
+	if c.side == blas.Right {
+		return c.n
+	}
+	return c.m
+}
+
+// triCases lists every differential case: the full side/uplo/trans/diag
+// sweep over triSizes (skipping pairs where both sides are large, to keep
+// it fast), followed by the production shapes.
+func triCases() []triShape {
+	var cs []triShape
+	for _, side := range []blas.Side{blas.Left, blas.Right} {
+		for _, uplo := range []blas.Uplo{blas.Upper, blas.Lower} {
+			for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+				for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
+					for _, m := range triSizes {
+						for _, n := range triSizes {
+							if m > 65 && n > 65 {
+								continue
+							}
+							cs = append(cs, triShape{"sweep", side, uplo, trans, diag, m, n})
+						}
+					}
+				}
+			}
+		}
+	}
+	return append(cs, triProduction...)
+}
 
 // wellConditioned builds a random na x na triangle-bearing matrix whose
 // solves stay differentially comparable: off-diagonals are scaled by 1/na
@@ -133,39 +185,15 @@ func wellConditioned(na, lda int, r *lcg) []float64 {
 func TestDtrsmDifferential(t *testing.T) {
 	bothKernels(t, func(t *testing.T) {
 		r := lcg(2)
-		caseIdx := 0
-		for _, side := range []blas.Side{blas.Left, blas.Right} {
-			for _, uplo := range []blas.Uplo{blas.Upper, blas.Lower} {
-				for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
-						for _, m := range triSizes {
-							for _, n := range triSizes {
-								if m > 65 && n > 65 { // keep the sweep fast
-									continue
-								}
-								caseIdx++
-								na := m
-								if side == blas.Right {
-									na = n
-								}
-								ldSlack := caseIdx % 3
-								lda := na + ldSlack
-								ldb := m + ldSlack
-								alpha := []float64{1, -0.6, 1.8}[caseIdx%3]
-								a := wellConditioned(na, lda, &r)
-								b := randSlice(ldb*n, &r)
-								want := append([]float64(nil), b...)
-								blas.Dtrsm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
-								baseline.RefTrsm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
-								for i := range b {
-									if !closeEnough(b[i], want[i], float64(na)) {
-										t.Fatalf("Dtrsm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
-											side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
-									}
-								}
-							}
-						}
-					}
+		for caseIdx, c := range triCases() {
+			a, lda, b, ldb, alpha := triOperands(c, caseIdx+1, &r)
+			want := append([]float64(nil), b...)
+			blas.Dtrsm(c.side, c.uplo, c.trans, c.diag, c.m, c.n, alpha, a, lda, b, ldb)
+			baseline.RefTrsm(c.side, c.uplo, c.trans, c.diag, c.m, c.n, alpha, a, lda, want, ldb)
+			for i := range b {
+				if !closeEnough(b[i], want[i], float64(c.order())) {
+					t.Fatalf("Dtrsm %s side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
+						c.name, c.side, c.uplo, c.trans, c.diag, c.m, c.n, lda, alpha, i, b[i], want[i])
 				}
 			}
 		}
@@ -175,43 +203,31 @@ func TestDtrsmDifferential(t *testing.T) {
 func TestDtrmmDifferential(t *testing.T) {
 	bothKernels(t, func(t *testing.T) {
 		r := lcg(3)
-		caseIdx := 0
-		for _, side := range []blas.Side{blas.Left, blas.Right} {
-			for _, uplo := range []blas.Uplo{blas.Upper, blas.Lower} {
-				for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
-						for _, m := range triSizes {
-							for _, n := range triSizes {
-								if m > 65 && n > 65 {
-									continue
-								}
-								caseIdx++
-								na := m
-								if side == blas.Right {
-									na = n
-								}
-								ldSlack := caseIdx % 3
-								lda := na + ldSlack
-								ldb := m + ldSlack
-								alpha := []float64{1, -0.6, 1.8}[caseIdx%3]
-								a := wellConditioned(na, lda, &r)
-								b := randSlice(ldb*n, &r)
-								want := append([]float64(nil), b...)
-								blas.Dtrmm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
-								baseline.RefTrmm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
-								for i := range b {
-									if !closeEnough(b[i], want[i], float64(na)) {
-										t.Fatalf("Dtrmm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
-											side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
-									}
-								}
-							}
-						}
-					}
+		for caseIdx, c := range triCases() {
+			a, lda, b, ldb, alpha := triOperands(c, caseIdx+1, &r)
+			want := append([]float64(nil), b...)
+			blas.Dtrmm(c.side, c.uplo, c.trans, c.diag, c.m, c.n, alpha, a, lda, b, ldb)
+			baseline.RefTrmm(c.side, c.uplo, c.trans, c.diag, c.m, c.n, alpha, a, lda, want, ldb)
+			for i := range b {
+				if !closeEnough(b[i], want[i], float64(c.order())) {
+					t.Fatalf("Dtrmm %s side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
+						c.name, c.side, c.uplo, c.trans, c.diag, c.m, c.n, lda, alpha, i, b[i], want[i])
 				}
 			}
 		}
 	})
+}
+
+// triOperands draws one differential case's operands: a well-conditioned
+// triangle of the side's order and a right-hand side, with 0-2 rows of
+// leading-dimension slack and alpha cycling through {1, -0.6, 1.8}.
+func triOperands(c triShape, caseIdx int, r *lcg) (a []float64, lda int, b []float64, ldb int, alpha float64) {
+	na := c.order()
+	ldSlack := caseIdx % 3
+	lda = na + ldSlack
+	ldb = c.m + ldSlack
+	alpha = []float64{1, -0.6, 1.8}[caseIdx%3]
+	return wellConditioned(na, lda, r), lda, randSlice(ldb*c.n, r), ldb, alpha
 }
 
 // TestDgerDifferential pits the 4-column unrolled Dger against a naive

@@ -9,12 +9,12 @@ import (
 // Level 3 drivers. Dgemm is the packed Goto-style implementation described
 // in doc/KERNELS.md: the driver validates shapes, applies beta, then loops
 // pack -> macrokernel over cache-sized blocks, with the pack buffers
-// recycled through internal/scratch. Dtrsm and Dtrmm are blocked drivers
-// that solve/multiply NB-wide diagonal blocks with the unblocked kernels in
-// level3unb.go and push all off-diagonal work through Dgemm, so every BLAS3
-// routine's bulk flops run on the one packed kernel path. The pre-refactor
-// unpacked kernels live on as baseline.RefGemm/RefTrsm/RefTrmm, the
-// differential-testing references.
+// recycled through internal/scratch. Dtrsm and Dtrmm are recursive drivers
+// that halve the triangle until it fits one register tile, solve/multiply
+// those with the unblocked kernels in level3unb.go and push all
+// off-diagonal work through Dgemm, so every BLAS3 routine's bulk flops run
+// on the one packed kernel path. The pre-refactor unpacked kernels live on
+// as baseline.RefGemm/RefTrsm/RefTrmm, the differential-testing references.
 
 // Register tile of the packed microkernel. These are fixed by the kernel
 // implementations (microkernel.go, microkernel_amd64.s); the cache block
@@ -34,11 +34,6 @@ var (
 	gemmKC = 256  // depth of the rank-kc update
 	gemmNC = 4096 // columns of packed B per macro block (multiple of gemmNR)
 )
-
-// trsmNB is the diagonal block width of the blocked Dtrsm/Dtrmm drivers:
-// triangles up to this order solve with the unblocked kernels, larger ones
-// split so the off-diagonal updates run through the packed Dgemm.
-const trsmNB = 64
 
 // BlockSizes returns the active cache blocking parameters (MC, KC, NC) of
 // the packed Dgemm.
@@ -144,9 +139,10 @@ func scaleCols(n, m int, beta float64, c []float64, ldc int) {
 }
 
 // Dtrsm solves op(A)*X = alpha*B (side == Left) or X*op(A) = alpha*B
-// (side == Right) for X, overwriting B. A is triangular. The driver is
-// blocked: NB-wide diagonal triangles solve with the unblocked kernels and
-// every off-diagonal elimination runs through the packed Dgemm.
+// (side == Right) for X, overwriting B. A is triangular. The driver halves
+// the triangle recursively (see trsmLeft/trsmRight): each off-diagonal
+// block is one packed Dgemm update, and only triangles of order <= triBase
+// reach the unblocked kernels in level3unb.go.
 func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
 	if side == Right {
@@ -162,78 +158,89 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 		scaleCols(n, m, alpha, b, ldb)
 	}
 	if side == Left {
-		trsmLeftBlocked(uplo, trans, diag, m, n, a, lda, b, ldb)
+		trsmLeft(uplo, trans, diag, m, n, a, lda, b, ldb)
 		return
 	}
-	trsmRightBlocked(uplo, trans, diag, m, n, a, lda, b, ldb)
+	trsmRight(uplo, trans, diag, m, n, a, lda, b, ldb)
 }
 
-// trsmLeftBlocked solves op(A)*X = B in place for an m x m triangle against
-// an m x n right-hand side, one NB-row block at a time.
-func trsmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Lower) == (trans == NoTrans)
-	for bi := 0; bi < m; bi += trsmNB {
-		i0 := bi
-		if !forward {
-			// Same NB-aligned block grid, visited last block first.
-			i0 = (m - bi - 1) / trsmNB * trsmNB
-		}
-		ib := min(trsmNB, m-i0)
-		trsmUnbLeft(uplo, trans, diag, ib, n, a[i0*lda+i0:], lda, b[i0:], ldb)
-		x := b[i0:]
-		rest := m - i0 - ib
-		switch {
-		case uplo == Lower && trans == NoTrans && rest > 0:
-			// B[i0+ib:] -= A[i0+ib:, i0:i0+ib] * X
-			Dgemm(NoTrans, NoTrans, rest, n, ib, -1, a[i0*lda+i0+ib:], lda, x, ldb, 1, b[i0+ib:], ldb)
-		case uplo == Upper && trans == NoTrans && i0 > 0:
-			// B[0:i0] -= A[0:i0, i0:i0+ib] * X
-			Dgemm(NoTrans, NoTrans, i0, n, ib, -1, a[i0*lda:], lda, x, ldb, 1, b, ldb)
-		case uplo == Lower && trans == Trans && i0 > 0:
-			// B[0:i0] -= (A[i0:i0+ib, 0:i0])^T * X
-			Dgemm(Trans, NoTrans, i0, n, ib, -1, a[i0:], lda, x, ldb, 1, b, ldb)
-		case uplo == Upper && trans == Trans && rest > 0:
-			// B[i0+ib:] -= (A[i0:i0+ib, i0+ib:])^T * X
-			Dgemm(Trans, NoTrans, rest, n, ib, -1, a[(i0+ib)*lda+i0:], lda, x, ldb, 1, b[i0+ib:], ldb)
-		}
-	}
+// triBase is the largest triangle the recursive Dtrsm/Dtrmm drivers hand
+// to the unblocked kernels: one MR register tile, below which a packed
+// Dgemm would mostly multiply its own zero padding. The unrolled kernels in
+// level3unb.go are written for exactly this order.
+const triBase = 8
+
+// triSplit returns the order of the leading diagonal block when a triangle
+// of order n > triBase is halved: n/2 rounded down to a multiple of the
+// register tile, and at least one tile.
+func triSplit(n int) int {
+	return max(triBase, n/2/triBase*triBase)
 }
 
-// trsmRightBlocked solves X*op(A) = B in place for an n x n triangle
-// against an m x n left-hand side, one NB-column block at a time.
-func trsmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Upper) == (trans == NoTrans)
-	for bj := 0; bj < n; bj += trsmNB {
-		j0 := bj
-		if !forward {
-			j0 = (n - bj - 1) / trsmNB * trsmNB
-		}
-		jb := min(trsmNB, n-j0)
-		trsmUnbRight(uplo, trans, diag, m, jb, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
-		x := b[j0*ldb:]
-		rest := n - j0 - jb
-		switch {
-		case uplo == Upper && trans == NoTrans && rest > 0:
-			// B[:, j0+jb:] -= X * A[j0:j0+jb, j0+jb:]
-			Dgemm(NoTrans, NoTrans, m, rest, jb, -1, x, ldb, a[(j0+jb)*lda+j0:], lda, 1, b[(j0+jb)*ldb:], ldb)
-		case uplo == Lower && trans == NoTrans && j0 > 0:
-			// B[:, 0:j0] -= X * A[j0:j0+jb, 0:j0]
-			Dgemm(NoTrans, NoTrans, m, j0, jb, -1, x, ldb, a[j0:], lda, 1, b, ldb)
-		case uplo == Upper && trans == Trans && j0 > 0:
-			// B[:, 0:j0] -= X * (A[0:j0, j0:j0+jb])^T
-			Dgemm(NoTrans, Trans, m, j0, jb, -1, x, ldb, a[j0*lda:], lda, 1, b, ldb)
-		case uplo == Lower && trans == Trans && rest > 0:
-			// B[:, j0+jb:] -= X * (A[j0+jb:, j0:j0+jb])^T
-			Dgemm(NoTrans, Trans, m, rest, jb, -1, x, ldb, a[j0*lda+j0+jb:], lda, 1, b[(j0+jb)*ldb:], ldb)
-		}
+// offDiag returns the stored off-diagonal block of a triangle split after
+// row/column n1: A21 (below the leading block) for Lower, A12 (right of it)
+// for Upper. Applied with the caller's trans it is op(A)'s off-diagonal
+// block, whichever triangle op(A) is.
+func offDiag(uplo Uplo, n1 int, a []float64, lda int) []float64 {
+	if uplo == Lower {
+		return a[n1:]
 	}
+	return a[n1*lda:]
+}
+
+// trsmLeft solves op(A)*X = B in place for an m x m triangle against an
+// m x n right-hand side. With op(A) = [A11 0; A21 A22] (lower) it solves
+// X1 = A11\B1, updates B2 -= A21*X1 and solves X2 = A22\B2; an upper op(A)
+// runs the same steps bottom-up.
+func trsmLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
+	if m <= triBase {
+		trsmUnbLeft(uplo, trans, diag, m, n, a, lda, b, ldb)
+		return
+	}
+	m1 := triSplit(m)
+	m2 := m - m1
+	off := offDiag(uplo, m1, a, lda)
+	a22, b2 := a[m1*lda+m1:], b[m1:]
+	if (uplo == Lower) == (trans == NoTrans) {
+		trsmLeft(uplo, trans, diag, m1, n, a, lda, b, ldb)
+		Dgemm(trans, NoTrans, m2, n, m1, -1, off, lda, b, ldb, 1, b2, ldb)
+		trsmLeft(uplo, trans, diag, m2, n, a22, lda, b2, ldb)
+		return
+	}
+	trsmLeft(uplo, trans, diag, m2, n, a22, lda, b2, ldb)
+	Dgemm(trans, NoTrans, m1, n, m2, -1, off, lda, b2, ldb, 1, b, ldb)
+	trsmLeft(uplo, trans, diag, m1, n, a, lda, b, ldb)
+}
+
+// trsmRight solves X*op(A) = B in place for an n x n triangle against an
+// m x n left-hand side. With op(A) = [A11 A12; 0 A22] (upper) it solves
+// X1 = B1/A11, updates B2 -= X1*A12 and solves X2 = B2/A22; a lower op(A)
+// runs the same steps right to left.
+func trsmRight(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
+	if n <= triBase {
+		trsmUnbRight(uplo, trans, diag, m, n, a, lda, b, ldb)
+		return
+	}
+	n1 := triSplit(n)
+	n2 := n - n1
+	off := offDiag(uplo, n1, a, lda)
+	a22, b2 := a[n1*lda+n1:], b[n1*ldb:]
+	if (uplo == Upper) == (trans == NoTrans) {
+		trsmRight(uplo, trans, diag, m, n1, a, lda, b, ldb)
+		Dgemm(NoTrans, trans, m, n2, n1, -1, b, ldb, off, lda, 1, b2, ldb)
+		trsmRight(uplo, trans, diag, m, n2, a22, lda, b2, ldb)
+		return
+	}
+	trsmRight(uplo, trans, diag, m, n2, a22, lda, b2, ldb)
+	Dgemm(NoTrans, trans, m, n1, n2, -1, b2, ldb, off, lda, 1, b, ldb)
+	trsmRight(uplo, trans, diag, m, n1, a, lda, b, ldb)
 }
 
 // Dtrmm computes B = alpha*op(A)*B (side == Left) or B = alpha*B*op(A)
 // (side == Right) for triangular A, overwriting B. Like Dtrsm, the driver
-// is blocked: diagonal blocks multiply with the unblocked kernels and the
-// off-diagonal contributions accumulate through the packed Dgemm, ordered
-// so every block reads only not-yet-overwritten parts of B.
+// halves the triangle recursively: the diagonal blocks recurse down to the
+// unblocked kernels and each off-diagonal contribution is one packed Dgemm,
+// ordered so it reads only not-yet-overwritten parts of B.
 func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
 	if side == Right {
@@ -246,72 +253,56 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 		return
 	}
 	if side == Left {
-		trmmLeftBlocked(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+		trmmLeft(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 		return
 	}
-	trmmRightBlocked(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	trmmRight(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 }
 
-// trmmLeftBlocked computes B = alpha*op(A)*B in place. A block's result
-// needs op(A)'s off-diagonal band times *original* B rows, so the block
-// order runs toward the band: forward when the band lies below the
-// diagonal block (Upper/NoTrans, Lower/Trans), backward otherwise.
-func trmmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Upper) == (trans == NoTrans)
-	for bi := 0; bi < m; bi += trsmNB {
-		i0 := bi
-		if !forward {
-			i0 = (m - bi - 1) / trsmNB * trsmNB
-		}
-		ib := min(trsmNB, m-i0)
-		// Diagonal contribution first: B_i = alpha*op(A_ii)*B_i leaves the
-		// off-diagonal operand rows untouched.
-		trmmUnbLeft(uplo, trans, diag, ib, n, alpha, a[i0*lda+i0:], lda, b[i0:], ldb)
-		rest := m - i0 - ib
-		switch {
-		case uplo == Upper && trans == NoTrans && rest > 0:
-			// B_i += alpha * A[i0:i0+ib, i0+ib:] * B_old[i0+ib:]
-			Dgemm(NoTrans, NoTrans, ib, n, rest, alpha, a[(i0+ib)*lda+i0:], lda, b[i0+ib:], ldb, 1, b[i0:], ldb)
-		case uplo == Lower && trans == NoTrans && i0 > 0:
-			// B_i += alpha * A[i0:i0+ib, 0:i0] * B_old[0:i0]
-			Dgemm(NoTrans, NoTrans, ib, n, i0, alpha, a[i0:], lda, b, ldb, 1, b[i0:], ldb)
-		case uplo == Upper && trans == Trans && i0 > 0:
-			// B_i += alpha * (A[0:i0, i0:i0+ib])^T * B_old[0:i0]
-			Dgemm(Trans, NoTrans, ib, n, i0, alpha, a[i0*lda:], lda, b, ldb, 1, b[i0:], ldb)
-		case uplo == Lower && trans == Trans && rest > 0:
-			// B_i += alpha * (A[i0+ib:, i0:i0+ib])^T * B_old[i0+ib:]
-			Dgemm(Trans, NoTrans, ib, n, rest, alpha, a[i0*lda+i0+ib:], lda, b[i0+ib:], ldb, 1, b[i0:], ldb)
-		}
+// trmmLeft computes B = alpha*op(A)*B in place. With op(A) upper, B1 =
+// alpha*(A11*B1 + A12*B2) is formed first, while B2 still holds its input;
+// with op(A) lower, B2 = alpha*(A21*B1 + A22*B2) goes first.
+func trmmLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
+	if m <= triBase {
+		trmmUnbLeft(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+		return
 	}
+	m1 := triSplit(m)
+	m2 := m - m1
+	off := offDiag(uplo, m1, a, lda)
+	a22, b2 := a[m1*lda+m1:], b[m1:]
+	if (uplo == Upper) == (trans == NoTrans) {
+		trmmLeft(uplo, trans, diag, m1, n, alpha, a, lda, b, ldb)
+		Dgemm(trans, NoTrans, m1, n, m2, alpha, off, lda, b2, ldb, 1, b, ldb)
+		trmmLeft(uplo, trans, diag, m2, n, alpha, a22, lda, b2, ldb)
+		return
+	}
+	trmmLeft(uplo, trans, diag, m2, n, alpha, a22, lda, b2, ldb)
+	Dgemm(trans, NoTrans, m2, n, m1, alpha, off, lda, b, ldb, 1, b2, ldb)
+	trmmLeft(uplo, trans, diag, m1, n, alpha, a, lda, b, ldb)
 }
 
-// trmmRightBlocked computes B = alpha*B*op(A) in place, column blocks
-// ordered so each reads only original columns of B.
-func trmmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Lower) == (trans == NoTrans)
-	for bj := 0; bj < n; bj += trsmNB {
-		j0 := bj
-		if !forward {
-			j0 = (n - bj - 1) / trsmNB * trsmNB
-		}
-		jb := min(trsmNB, n-j0)
-		trmmUnbRight(uplo, trans, diag, m, jb, alpha, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
-		rest := n - j0 - jb
-		switch {
-		case uplo == Upper && trans == NoTrans && j0 > 0:
-			// B_j += alpha * B_old[:, 0:j0] * A[0:j0, j0:j0+jb]
-			Dgemm(NoTrans, NoTrans, m, jb, j0, alpha, b, ldb, a[j0*lda:], lda, 1, b[j0*ldb:], ldb)
-		case uplo == Lower && trans == NoTrans && rest > 0:
-			// B_j += alpha * B_old[:, j0+jb:] * A[j0+jb:, j0:j0+jb]
-			Dgemm(NoTrans, NoTrans, m, jb, rest, alpha, b[(j0+jb)*ldb:], ldb, a[j0*lda+j0+jb:], lda, 1, b[j0*ldb:], ldb)
-		case uplo == Upper && trans == Trans && rest > 0:
-			// B_j += alpha * B_old[:, j0+jb:] * (A[j0:j0+jb, j0+jb:])^T
-			Dgemm(NoTrans, Trans, m, jb, rest, alpha, b[(j0+jb)*ldb:], ldb, a[(j0+jb)*lda+j0:], lda, 1, b[j0*ldb:], ldb)
-		case uplo == Lower && trans == Trans && j0 > 0:
-			// B_j += alpha * B_old[:, 0:j0] * (A[j0:j0+jb, 0:j0])^T
-			Dgemm(NoTrans, Trans, m, jb, j0, alpha, b, ldb, a[j0:], lda, 1, b[j0*ldb:], ldb)
-		}
+// trmmRight computes B = alpha*B*op(A) in place. With op(A) upper, B2 =
+// alpha*(B1*A12 + B2*A22) is formed first, while B1 still holds its input;
+// with op(A) lower, B1 = alpha*(B1*A11 + B2*A21) goes first.
+func trmmRight(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
+	if n <= triBase {
+		trmmUnbRight(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+		return
 	}
+	n1 := triSplit(n)
+	n2 := n - n1
+	off := offDiag(uplo, n1, a, lda)
+	a22, b2 := a[n1*lda+n1:], b[n1*ldb:]
+	if (uplo == Upper) == (trans == NoTrans) {
+		trmmRight(uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb)
+		Dgemm(NoTrans, trans, m, n2, n1, alpha, b, ldb, off, lda, 1, b2, ldb)
+		trmmRight(uplo, trans, diag, m, n1, alpha, a, lda, b, ldb)
+		return
+	}
+	trmmRight(uplo, trans, diag, m, n1, alpha, a, lda, b, ldb)
+	Dgemm(NoTrans, trans, m, n1, n2, alpha, b2, ldb, off, lda, 1, b, ldb)
+	trmmRight(uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb)
 }
 
 // Dsyrk computes C = alpha*A*A^T + beta*C (trans == NoTrans, A is n x k) or

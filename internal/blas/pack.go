@@ -44,10 +44,12 @@ func packA(trans Transpose, mc, kc int, alpha float64, a []float64, lda int, buf
 			continue
 		}
 		// Trans: op(A) row i is the contiguous source row a[(ir+i)*lda:].
-		if ib < gemmMR {
-			for i := range dst {
-				dst[i] = 0
-			}
+		if ib == gemmMR {
+			packATransStrip(kc, alpha, a[ir*lda:], lda, dst)
+			continue
+		}
+		for i := range dst {
+			dst[i] = 0
 		}
 		for i := 0; i < ib; i++ {
 			src := a[(ir+i)*lda : (ir+i)*lda+kc]
@@ -68,10 +70,12 @@ func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
 		dst := buf[jr*kc : jr*kc+gemmNR*kc]
 		if trans == NoTrans {
 			// op(B) column j is the contiguous source column b[(jr+j)*ldb:].
-			if jb < gemmNR {
-				for i := range dst {
-					dst[i] = 0
-				}
+			if jb == gemmNR {
+				packBStrip(kc, b[jr*ldb:], ldb, dst)
+				continue
+			}
+			for i := range dst {
+				dst[i] = 0
 			}
 			for j := 0; j < jb; j++ {
 				src := b[(jr+j)*ldb : (jr+j)*ldb+kc]
@@ -93,6 +97,39 @@ func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
 				d[j] = 0
 			}
 		}
+	}
+}
+
+// packATransStrip packs one full MR-row strip of a transposed A: the eight
+// op(A) rows are eight contiguous source rows, read as parallel streams so
+// each depth index writes one contiguous group of MR values.
+func packATransStrip(kc int, alpha float64, a []float64, lda int, dst []float64) {
+	r0 := a[0*lda : 0*lda+kc]
+	r1 := a[1*lda : 1*lda+kc]
+	r2 := a[2*lda : 2*lda+kc]
+	r3 := a[3*lda : 3*lda+kc]
+	r4 := a[4*lda : 4*lda+kc]
+	r5 := a[5*lda : 5*lda+kc]
+	r6 := a[6*lda : 6*lda+kc]
+	r7 := a[7*lda : 7*lda+kc]
+	for p := range r0 {
+		d := dst[p*gemmMR : p*gemmMR+gemmMR]
+		d[0], d[1], d[2], d[3] = alpha*r0[p], alpha*r1[p], alpha*r2[p], alpha*r3[p]
+		d[4], d[5], d[6], d[7] = alpha*r4[p], alpha*r5[p], alpha*r6[p], alpha*r7[p]
+	}
+}
+
+// packBStrip packs one full NR-column strip of a NoTrans B: the four
+// source columns are read as parallel streams so each depth index writes
+// one contiguous group of NR values.
+func packBStrip(kc int, b []float64, ldb int, dst []float64) {
+	c0 := b[0*ldb : 0*ldb+kc]
+	c1 := b[1*ldb : 1*ldb+kc]
+	c2 := b[2*ldb : 2*ldb+kc]
+	c3 := b[3*ldb : 3*ldb+kc]
+	for p := range c0 {
+		d := dst[p*gemmNR : p*gemmNR+gemmNR]
+		d[0], d[1], d[2], d[3] = c0[p], c1[p], c2[p], c3[p]
 	}
 }
 

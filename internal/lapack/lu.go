@@ -72,17 +72,29 @@ func RGETF2(a *matrix.Dense, ipiv []int) error {
 	return rgetf2(a, ipiv)
 }
 
+// panelBase is the widest panel the recursive RGETF2 and GEQR3 split no
+// further: they finish it with the unblocked GETF2, or GEQR2 plus Larft.
+// Below one 8-row register tile the packed Dgemm of a further split would
+// mostly multiply the tile's zero padding.
+const panelBase = 8
+
+// panelSplit returns the width of the left half when a panel of width n >
+// panelBase is split: n/2 rounded down to a multiple of panelBase.
+func panelSplit(n int) int {
+	return max(panelBase, n/2/panelBase*panelBase)
+}
+
 func rgetf2(a *matrix.Dense, ipiv []int) error {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
 	if k == 0 {
 		return nil
 	}
-	if k == 1 || n == 1 {
-		// Base case: a single column (or single row) — plain GEPP step.
+	if k <= panelBase {
+		// Base case: a narrow (or short) panel — plain GEPP.
 		return GETF2(a, ipiv)
 	}
-	nl := k / 2
+	nl := panelSplit(k)
 	var err error
 	// Factor the left half recursively, keeping the first failure (LAPACK
 	// info convention).
@@ -170,11 +182,7 @@ func LASWP(a *matrix.Dense, ipiv []int, k1, k2 int) {
 	if k1 < 0 || k2 > len(ipiv) || k1 > k2 {
 		panic(fmt.Errorf("%w: LASWP range [%d, %d) of %d", ErrShape, k1, k2, len(ipiv)))
 	}
-	for k := k1; k < k2; k++ {
-		if p := ipiv[k]; p != k {
-			a.SwapRows(k, p)
-		}
-	}
+	Interchange(a, ipiv[k1:k2], k1, false)
 }
 
 // LASWPBackward applies the interchanges in reverse order, undoing a prior
@@ -183,9 +191,37 @@ func LASWPBackward(a *matrix.Dense, ipiv []int, k1, k2 int) {
 	if k1 < 0 || k2 > len(ipiv) || k1 > k2 {
 		panic(fmt.Errorf("%w: LASWPBackward range [%d, %d) of %d", ErrShape, k1, k2, len(ipiv)))
 	}
-	for k := k2 - 1; k >= k1; k-- {
-		if p := ipiv[k]; p != k {
-			a.SwapRows(k, p)
+	Interchange(a, ipiv[k1:k2], k1, true)
+}
+
+// Interchange applies a sequential list of row interchanges to a: for j in
+// order, rows r0+j and piv[j] trade places (in reverse order when undo is
+// set, which reverts the forward pass). It is the one loop behind LASWP,
+// LASWPBackward and tslu.ApplyPivots/UndoPivots. Swaps on different
+// columns are independent, so it walks each contiguous column once and
+// applies the whole list there instead of one strided pass over every
+// column per swap; the result is the same. Out-of-range rows panic before
+// a is touched.
+func Interchange(a *matrix.Dense, piv []int, r0 int, undo bool) {
+	for j, p := range piv {
+		if r := r0 + j; p != r && (r < 0 || r >= a.Rows || p < 0 || p >= a.Rows) {
+			panic(fmt.Errorf("%w: interchange rows (%d, %d) out of range %d", ErrShape, r, p, a.Rows))
+		}
+	}
+	for c := 0; c < a.Cols; c++ {
+		col := a.Data[c*a.Stride : c*a.Stride+a.Rows]
+		if undo {
+			for j := len(piv) - 1; j >= 0; j-- {
+				if r, p := r0+j, piv[j]; p != r {
+					col[r], col[p] = col[p], col[r]
+				}
+			}
+			continue
+		}
+		for j, p := range piv {
+			if r := r0 + j; p != r {
+				col[r], col[p] = col[p], col[r]
+			}
 		}
 	}
 }

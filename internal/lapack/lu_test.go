@@ -74,7 +74,8 @@ func TestRGETF2MatchesGETF2Exactly(t *testing.T) {
 	// The recursive algorithm must select identical pivots and produce an
 	// identical factor (same flop reordering is allowed to give tiny
 	// floating-point differences, but pivots must agree).
-	for _, dims := range [][2]int{{30, 30}, {64, 16}, {17, 17}} {
+	// The tall widths straddle the width-8 recursion base and its splits.
+	for _, dims := range [][2]int{{30, 30}, {64, 16}, {17, 17}, {500, 7}, {500, 8}, {500, 9}, {500, 17}} {
 		orig := matrix.Random(dims[0], dims[1], 99)
 		a1, a2 := orig.Clone(), orig.Clone()
 		k := min(dims[0], dims[1])

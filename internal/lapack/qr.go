@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/scratch"
 )
 
 // Larfg generates an elementary Householder reflector H = I - tau*v*v^T
@@ -126,8 +127,10 @@ func Larfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	if n == 0 || k == 0 {
 		return
 	}
-	// W = V^T C = V1^T C1 + V2^T C2, with V1 the unit lower triangle.
-	w := matrix.New(k, n)
+	// W = V^T C = V1^T C1 + V2^T C2, with V1 the unit lower triangle. W is
+	// pooled workspace: every CAQR update task and GEQR3 node applies one.
+	w := scratch.Dense(k, n)
+	defer scratch.Release(w)
 	c1 := c.View(0, 0, k, n)
 	w.CopyFrom(c1)
 	v1 := v.View(0, 0, k, k)
@@ -205,15 +208,12 @@ func GEQR3(a *matrix.Dense, tau []float64, t *matrix.Dense) {
 	if n == 0 {
 		return
 	}
-	if n == 1 {
-		col := a.Col(0)
-		beta, tv := Larfg(col[0], col[1:m])
-		col[0] = beta
-		tau[0] = tv
-		t.Set(0, 0, tv)
+	if n <= panelBase {
+		GEQR2(a, tau)
+		Larft(a, tau, t)
 		return
 	}
-	n1 := n / 2
+	n1 := panelSplit(n)
 	n2 := n - n1
 	// Factor the left half: A1 = Q1 R1.
 	a1 := a.View(0, 0, m, n1)

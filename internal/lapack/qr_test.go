@@ -69,7 +69,8 @@ func TestGEQRFShapes(t *testing.T) {
 }
 
 func TestGEQR3Shapes(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {8, 8}, {20, 7}, {64, 64}, {200, 33}, {37, 37}} {
+	for _, dims := range [][2]int{{1, 1}, {8, 8}, {20, 7}, {64, 64}, {200, 33}, {37, 37},
+		{500, 7}, {500, 8}, {500, 9}, {500, 17}} {
 		m, n := dims[0], dims[1]
 		orig := matrix.Random(m, n, int64(m*13+n))
 		a := orig.Clone()

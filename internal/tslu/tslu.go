@@ -331,20 +331,12 @@ func BuildSwaps(winners []int, r0 int) []int {
 // rows r0+j and sw[j] are exchanged. Row indices in sw are relative to a's
 // row 0.
 func ApplyPivots(a *matrix.Dense, sw []int, r0 int) {
-	for j, p := range sw {
-		if p != r0+j {
-			a.SwapRows(r0+j, p)
-		}
-	}
+	lapack.Interchange(a, sw, r0, false)
 }
 
 // UndoPivots reverses ApplyPivots with the same arguments.
 func UndoPivots(a *matrix.Dense, sw []int, r0 int) {
-	for j := len(sw) - 1; j >= 0; j-- {
-		if p := sw[j]; p != r0+j {
-			a.SwapRows(r0+j, p)
-		}
-	}
+	lapack.Interchange(a, sw, r0, true)
 }
 
 // Finalize completes the panel factorization after the tournament: it
