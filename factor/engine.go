@@ -99,11 +99,10 @@ type EngineConfig struct {
 	// factor). See doc/SERVICE.md.
 	CacheEntries int
 	// BatchWindow enables request coalescing: eligible factorizations
-	// (m >= n, both dimensions <= BatchMaxDim, no Trace, no WorkStealing)
-	// arriving within this window are merged into a single pool
-	// submission, so many small requests keep the workers saturated
-	// instead of trickling in one tiny graph at a time. 0 disables
-	// coalescing. See doc/SERVICE.md.
+	// (m >= n, both dimensions <= BatchMaxDim, no Trace) arriving within
+	// this window are merged into a single pool submission, so many small
+	// requests keep the workers saturated instead of trickling in one tiny
+	// graph at a time. 0 disables coalescing. See doc/SERVICE.md.
 	BatchWindow time.Duration
 	// BatchMaxRequests flushes a coalescing window early once this many
 	// requests are pending. 0 means 16.
@@ -301,8 +300,8 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Registry() *obs.Registry { return e.met.reg }
 
 // PoolMetrics snapshots the engine's scheduler-pool instrumentation:
-// per-worker busy time, steal counters, queue depth high-water marks and
-// per-kind task latency. See sched.PoolMetrics.
+// per-worker busy time, queue depth high-water marks and per-kind task
+// latency. See sched.PoolMetrics.
 func (e *Engine) PoolMetrics() sched.PoolMetrics { return e.pool.Metrics() }
 
 // Close shuts the engine down: in-flight factorizations complete, the
@@ -635,14 +634,13 @@ func (e *Engine) LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactoriz
 
 // batchEligible reports whether a request rides the coalescing path: the
 // batcher is on, the matrix is small enough that sharing a submission
-// helps and tall-or-square, and its submission options are the defaults —
-// a merged submission runs untraced under the priority policy, so a traced
-// or work-stealing request runs alone.
+// helps and tall-or-square, and it is untraced — a merged submission
+// records no trace, so a traced request runs alone.
 func (e *Engine) batchEligible(a *Matrix, opt core.Options) bool {
 	return e.batch != nil && a != nil &&
 		a.Rows > 0 && a.Cols > 0 && a.Rows >= a.Cols &&
 		a.Rows <= e.cfg.BatchMaxDim && a.Cols <= e.cfg.BatchMaxDim &&
-		!opt.Trace && !opt.WorkStealing
+		!opt.Trace
 }
 
 // QRCtx is Engine.QR bound to a context, with the same cancellation

@@ -96,9 +96,6 @@ type Options struct {
 	// NoLookahead disables the look-ahead priority scheme (for study; the
 	// paper's configuration keeps it on).
 	NoLookahead bool
-	// WorkStealing swaps the centralized priority scheduler for a
-	// Cilk-style work-stealing one; numerical results are identical.
-	WorkStealing bool
 	// StructuredTree switches CAQR's tree merges to the structured
 	// triangle-on-triangle kernel (faster; same R up to rounding).
 	StructuredTree bool
@@ -120,11 +117,6 @@ type Options struct {
 	// O(mn) checksum work against the O(mn^2) factorization. See
 	// doc/ROBUSTNESS.md.
 	Verify bool
-	// VerifyTolerance scales the checksum comparison: predicted and actual
-	// column sums must agree within VerifyTolerance * m * max|A|. 0 means
-	// 1e-8 — orders of magnitude above roundoff, orders below any injected
-	// fault.
-	VerifyTolerance float64
 }
 
 func (o Options) internal() core.Options {
@@ -142,12 +134,10 @@ func (o Options) internal() core.Options {
 		Tree:            tslu.Tree(o.Tree),
 		Workers:         workers,
 		Lookahead:       !o.NoLookahead,
-		WorkStealing:    o.WorkStealing,
 		StructuredTree:  o.StructuredTree,
 		GrowthThreshold: o.GrowthThreshold,
 		Trace:           o.Trace,
 		Verify:          o.Verify,
-		VerifyTolerance: o.VerifyTolerance,
 	}
 }
 

@@ -92,4 +92,3 @@ func (s *CriticalPathSummary) Report(w io.Writer) {
 		fmt.Fprintf(w, "  worker %d: busy %.6fs idle %.6fs\n", wk, s.WorkerBusy[wk], s.WorkerIdle[wk])
 	}
 }
-

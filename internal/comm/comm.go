@@ -34,26 +34,7 @@ func PanelSyncs(b, tr int, tree tslu.Tree, classic bool) int {
 		return b
 	}
 	steps := tslu.PlanReduction(tr, tree)
-	return planDepth(tr, steps)
-}
-
-// planDepth computes the level count of a reduction plan.
-func planDepth(nLeaves int, steps []tslu.MergeStep) int {
-	depth := make(map[int]int, nLeaves+len(steps))
-	max := 0
-	for _, st := range steps {
-		lvl := 0
-		for _, in := range st.In {
-			if depth[in] > lvl {
-				lvl = depth[in]
-			}
-		}
-		depth[st.Out] = lvl + 1
-		if lvl+1 > max {
-			max = lvl + 1
-		}
-	}
-	return max
+	return steps[len(steps)-1].Level // the root
 }
 
 // FactorSyncs returns the total panel-synchronization count of a full m x n

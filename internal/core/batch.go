@@ -7,10 +7,9 @@ package core
 //   - PrepareCALU/PrepareCAQR validate the input, scan it for non-finite
 //     entries and build its task graph without running anything;
 //   - Run executes prepared requests on a sched.Pool: one request alone
-//     under its own trace and scheduling-policy options, or several merged
-//     into a single submission — aggregating small operations into fewer,
-//     larger ones, the communication-avoiding idea applied at the request
-//     level;
+//     under its own trace option, or several merged into a single
+//     submission — aggregating small operations into fewer, larger ones,
+//     the communication-avoiding idea applied at the request level;
 //   - Finish does the post-execution bookkeeping: deferred pivot
 //     application, per-panel error reporting and, for a wide matrix, the
 //     update of the columns right of its leading square block.
@@ -40,10 +39,9 @@ type Request interface {
 // Run executes prepared requests on pool and returns the submission's
 // error, which the caller hands to each request's Finish.
 //
-// A single request is submitted alone with its own Trace and WorkStealing
-// options, and its trace and graph are attached to its result. Several
-// requests are merged into one submission under the default options
-// (untraced, priority policy); the merge empties their graphs, and a task
+// A single request is submitted alone with its own Trace option, and its
+// trace and graph are attached to its result. Several requests are merged
+// into one untraced submission; the merge empties their graphs, and a task
 // failure fails every request of the batch. A nil pool runs the requests
 // on a private pool sized by their largest Workers option; a shared pool
 // ignores Workers.
@@ -60,9 +58,6 @@ func Run(ctx context.Context, pool *sched.Pool, reqs ...Request) error {
 	}
 	g, opt := reqs[0].Graph(), reqs[0].options()
 	so := sched.SubmitOptions{Trace: opt.Trace}
-	if opt.WorkStealing {
-		so.Policy = sched.Stealing
-	}
 	workers := opt.Workers
 	if len(reqs) > 1 {
 		graphs := make([]*sched.Graph, len(reqs))
@@ -142,9 +137,8 @@ func PrepareCALU(a *matrix.Dense, opt Options) (*PreparedLU, error) {
 		return nil, err
 	}
 	b := newCALUBuilder(sq.Rows, sq.Cols, &opt)
-	b.a, b.maxA = sq, maxA
+	b.a, b.maxA, b.wsums = sq, maxA, wsums
 	if opt.Verify {
-		b.wsums = wsums
 		b.vsums = make([]float64, sq.Cols)
 		b.recomputed = make([]bool, b.nb)
 	}
@@ -219,9 +213,8 @@ func PrepareCAQR(a *matrix.Dense, opt Options) (*PreparedQR, error) {
 	}
 	res := &QRResult{A: a}
 	b := newCAQRBuilder(sq.Rows, sq.Cols, &opt)
-	b.a, b.res, b.maxA = sq, res, maxA
+	b.a, b.res, b.maxA, b.wsums = sq, res, maxA, wsums
 	if opt.Verify {
-		b.wsums = wsums
 		b.u = onesVector(sq.Rows)
 	}
 	b.build()

@@ -96,25 +96,18 @@ func BuildCALUGraph(m, n int, opt Options) *sched.Graph {
 
 // caluBuilder holds graph-construction state for one CALU factorization.
 type caluBuilder struct {
-	g      *sched.Graph
-	opt    *Options
-	m, n   int
-	nb     int // number of block columns
-	fronts []frontier
+	builder
 
-	// Binding state; nil for graph-only builds.
-	a        *matrix.Dense
+	// Per-iteration results of a bound build.
 	swaps    [][]int
 	errs     []error
-	maxA     float64 // max|A| of the input, guardrail denominator
-	fellBack []bool  // per iteration: growth guardrail took the GEPP path
+	fellBack []bool // growth guardrail took the GEPP path
 
 	// Verify-mode state (nil / zero unless Options.Verify is set and the
-	// builder is bound). wsums holds the pristine input's column sums;
-	// vsums accumulates the finished L columns' sums, one panel per V task
-	// (the V tasks form a chain, so vsums needs no lock). nRecomp is only
-	// touched by finalize tasks, which are transitively ordered.
-	wsums      []float64
+	// builder is bound). vsums accumulates the finished L columns' sums, one
+	// panel per V task (the V tasks form a chain, so vsums needs no lock).
+	// nRecomp is only touched by finalize tasks, which are transitively
+	// ordered.
 	vsums      []float64
 	vprev      *sched.Task // previous panel's V task (chain)
 	vpoison    bool        // a singular panel invalidated the checksum chain
@@ -122,16 +115,12 @@ type caluBuilder struct {
 	recomputed []bool      // per iteration: panel recomputed after corruption
 }
 
-// verifyOn reports whether this builder checks ABFT invariants: bound, with
-// Options.Verify set.
-func (b *caluBuilder) verifyOn() bool { return b.a != nil && b.opt.Verify }
-
 // vtol is the absolute checksum tolerance: predicted and actual column sums
 // agree to roughly machine precision times the sum's own magnitude (at most
-// m entries of size max|A|, times modest growth), so VerifyTolerance * m *
-// max|A| leaves orders of magnitude of slack below any injected fault.
+// m entries of size max|A|, times modest growth), so verifyTol * m * max|A|
+// leaves orders of magnitude of slack below any injected fault.
 func (b *caluBuilder) vtol() float64 {
-	return b.opt.VerifyTolerance * float64(b.m) * b.maxA
+	return verifyTol * float64(b.m) * b.maxA
 }
 
 // taintedBefore reports whether any panel before k failed: a rank-deficient
@@ -149,36 +138,11 @@ func (b *caluBuilder) taintedBefore(k int) bool {
 }
 
 func newCALUBuilder(m, n int, opt *Options) *caluBuilder {
-	nb := (n + opt.BlockSize - 1) / opt.BlockSize
-	return &caluBuilder{
-		g:        sched.NewGraph(),
-		opt:      opt,
-		m:        m,
-		n:        n,
-		nb:       nb,
-		fronts:   make([]frontier, nb),
-		swaps:    make([][]int, nb),
-		errs:     make([]error, nb),
-		fellBack: make([]bool, nb),
-	}
-}
-
-// dep adds deduplicated dependencies from each task in pres to t.
-func (b *caluBuilder) dep(t *sched.Task, pres ...*sched.Task) {
-	seen := make(map[int]bool, len(pres))
-	for _, p := range pres {
-		if p == nil || seen[p.ID] {
-			continue
-		}
-		seen[p.ID] = true
-		b.g.AddDep(p, t)
-	}
-}
-
-// colRange returns the column range [c0, c1) of block column j.
-func (b *caluBuilder) colRange(j int) (int, int) {
-	c0 := j * b.opt.BlockSize
-	return c0, min(b.n, c0+b.opt.BlockSize)
+	b := &caluBuilder{builder: newBuilder(m, n, opt)}
+	b.swaps = make([][]int, b.nb)
+	b.errs = make([]error, b.nb)
+	b.fellBack = make([]bool, b.nb)
+	return b
 }
 
 func (b *caluBuilder) build() {
@@ -189,8 +153,8 @@ func (b *caluBuilder) build() {
 
 func (b *caluBuilder) buildIteration(k int) {
 	opt := b.opt
-	r0, _ := b.colRange(k)
 	c0, c1 := b.colRange(k)
+	r0 := c0
 	w := c1 - c0
 	mr := b.m - r0 // active rows
 
@@ -227,7 +191,7 @@ func (b *caluBuilder) buildIteration(k int) {
 			t.Out = func() []float64 { return candRows(cands, i) }
 		}
 		b.g.Add(t)
-		b.dep(t, b.fronts[k].read(lo, hi)...)
+		b.g.AddDeps(t, b.fronts[k].read(lo, hi)...)
 		leafTasks[i] = t
 	}
 
@@ -276,7 +240,7 @@ func (b *caluBuilder) buildIteration(k int) {
 			t.Out = func() []float64 { return candRows(cands, slot) }
 		}
 		b.g.Add(t)
-		b.dep(t, deps...)
+		b.g.AddDeps(t, deps...)
 		nodes = append(nodes, nodeRef{task: t, slot: slot, k: min(total, w)})
 	}
 	rootRef := nodes[len(nodes)-1]
@@ -363,8 +327,8 @@ func (b *caluBuilder) buildIteration(k int) {
 		fin.Out = func() []float64 { return b.a.Col(c0)[r0 : r0+min(mr, w)] }
 	}
 	b.g.Add(fin)
-	b.dep(fin, rootRef.task)
-	b.dep(fin, b.fronts[k].write(r0, b.m, fin)...)
+	b.g.AddDeps(fin, rootRef.task)
+	b.write(fin, k, k+1, r0, b.m)
 
 	// --- Tasks L: remaining rows of the panel's L factor. ---
 	lRows0 := r0 + w
@@ -392,21 +356,17 @@ func (b *caluBuilder) buildIteration(k int) {
 			t.Out = func() []float64 { return b.a.Col(c0)[lo:hi] }
 		}
 		b.g.Add(t)
-		b.dep(t, b.fronts[k].write(lo, hi, t)...)
+		b.write(t, k, k+1, lo, hi)
 		lTasks[i] = t
 	}
 
 	// --- Tasks U and S over the trailing block columns. ---
-	for j0 := k + 1; j0 < b.nb; j0 += opt.ColsPerTask {
-		j1 := min(b.nb, j0+opt.ColsPerTask)
-		gc0, _ := b.colRange(j0)
-		_, gc1 := b.colRange(j1 - 1)
-		gw := gc1 - gc0
-
+	for _, grp := range b.trailing(k) {
+		gc0, gw := grp.c0, grp.w
 		u := &sched.Task{
-			Label:    fmt.Sprintf("U k=%d j=%d", k, j0),
+			Label:    fmt.Sprintf("U k=%d j=%d", k, grp.j0),
 			Kind:     sched.KindU,
-			Priority: priority(opt, b.nb, k, j0, bonusU),
+			Priority: priority(opt, b.nb, k, grp.j0, bonusU),
 			Flops:    float64(w) * float64(w) * float64(gw),
 			Class:    sched.ClassBLAS3,
 		}
@@ -422,18 +382,16 @@ func (b *caluBuilder) buildIteration(k int) {
 			t.Out = func() []float64 { return b.a.Col(gc0)[r0 : r0+w] }
 		}
 		b.g.Add(u)
-		b.dep(u, fin)
-		for j := j0; j < j1; j++ {
-			b.dep(u, b.fronts[j].write(r0, b.m, u)...)
-		}
+		b.g.AddDeps(u, fin)
+		b.write(u, grp.j0, grp.j1, r0, b.m)
 
 		for i, blk := range lBlocks {
 			lo, hi := lRows0+blk[0], lRows0+blk[1]
 			rows := hi - lo
 			s := &sched.Task{
-				Label:    fmt.Sprintf("S k=%d i=%d j=%d", k, i, j0),
+				Label:    fmt.Sprintf("S k=%d i=%d j=%d", k, i, grp.j0),
 				Kind:     sched.KindS,
-				Priority: priority(opt, b.nb, k, j0, bonusS),
+				Priority: priority(opt, b.nb, k, grp.j0, bonusS),
 				Flops:    2 * float64(rows) * float64(w) * float64(gw),
 				Class:    sched.ClassBLAS3,
 			}
@@ -448,10 +406,8 @@ func (b *caluBuilder) buildIteration(k int) {
 				t.Out = func() []float64 { return b.a.Col(gc0)[lo:hi] }
 			}
 			b.g.Add(s)
-			b.dep(s, u, lTasks[i])
-			for j := j0; j < j1; j++ {
-				b.dep(s, b.fronts[j].write(lo, hi, s)...)
-			}
+			b.g.AddDeps(s, u, lTasks[i])
+			b.write(s, grp.j0, grp.j1, lo, hi)
 		}
 	}
 
@@ -489,8 +445,8 @@ func (b *caluBuilder) buildIteration(k int) {
 			}
 		}
 		b.g.Add(v)
-		b.dep(v, b.fronts[k].read(0, b.m)...)
-		b.dep(v, b.vprev)
+		b.g.AddDeps(v, b.fronts[k].read(0, b.m)...)
+		b.g.AddDeps(v, b.vprev)
 		b.vprev = v
 	}
 }

@@ -135,14 +135,9 @@ func BuildCAQRGraph(m, n int, opt Options) *sched.Graph {
 	return b.g
 }
 
+// caqrBuilder holds graph-construction state for one CAQR factorization.
 type caqrBuilder struct {
-	g      *sched.Graph
-	opt    *Options
-	m, n   int
-	nb     int
-	fronts []frontier
-
-	a   *matrix.Dense
+	builder
 	res *QRResult
 
 	// Verify-mode state. u is the carried checksum vector: it starts as the
@@ -150,15 +145,10 @@ type caqrBuilder struct {
 	// matrix is also applied to it (tasks C), so after panel k it holds
 	// Q_k^T...Q_1^T e and the identity u^T R = e^T A is checkable column by
 	// column. ufront orders the C tasks exactly as the matrix frontier
-	// orders the S tasks. wsums holds the pristine input's column sums.
-	maxA   float64
-	wsums  []float64
+	// orders the S tasks.
 	u      *matrix.Dense
 	ufront frontier
 }
-
-// verifyOn reports whether this builder checks ABFT invariants.
-func (b *caqrBuilder) verifyOn() bool { return b.a != nil && b.opt.Verify }
 
 // vtol is the absolute checksum tolerance for the QR identity. The carried
 // u has unit columns' worth of mass spread over m entries (|u_i| <= sqrt(m))
@@ -166,7 +156,7 @@ func (b *caqrBuilder) verifyOn() bool { return b.a != nil && b.opt.Verify }
 // extra sqrt(m) of headroom for the longer accumulation chains.
 func (b *caqrBuilder) vtol() float64 {
 	fm := float64(b.m)
-	return b.opt.VerifyTolerance * fm * math.Sqrt(fm) * b.maxA
+	return verifyTol * fm * math.Sqrt(fm) * b.maxA
 }
 
 // onesVector returns the m x 1 ones vector e, the seed of the carried
@@ -181,31 +171,7 @@ func onesVector(m int) *matrix.Dense {
 }
 
 func newCAQRBuilder(m, n int, opt *Options) *caqrBuilder {
-	nb := (n + opt.BlockSize - 1) / opt.BlockSize
-	return &caqrBuilder{
-		g:      sched.NewGraph(),
-		opt:    opt,
-		m:      m,
-		n:      n,
-		nb:     nb,
-		fronts: make([]frontier, nb),
-	}
-}
-
-func (b *caqrBuilder) dep(t *sched.Task, pres ...*sched.Task) {
-	seen := make(map[int]bool, len(pres))
-	for _, p := range pres {
-		if p == nil || seen[p.ID] {
-			continue
-		}
-		seen[p.ID] = true
-		b.g.AddDep(p, t)
-	}
-}
-
-func (b *caqrBuilder) colRange(j int) (int, int) {
-	c0 := j * b.opt.BlockSize
-	return c0, min(b.n, c0+b.opt.BlockSize)
+	return &caqrBuilder{builder: newBuilder(m, n, opt)}
 }
 
 func (b *caqrBuilder) build() {
@@ -222,6 +188,7 @@ func (b *caqrBuilder) buildIteration(k int) {
 	mr := b.m - r0
 
 	blocks, levels := tsqr.Plan(mr, w, opt.PanelThreads, opt.Tree)
+	groups := b.trailing(k)
 
 	var f *tsqr.Factorization
 	if b.a != nil {
@@ -261,19 +228,16 @@ func (b *caqrBuilder) buildIteration(k int) {
 			t.Out = func() []float64 { return b.a.Col(c0)[r0+lo : r0+hi] }
 		}
 		b.g.Add(t)
-		b.dep(t, b.fronts[k].write(r0+lo, r0+hi, t)...)
+		b.write(t, k, k+1, r0+lo, r0+hi)
 		leafTasks[i] = t
 		producers[lo] = t
 
-		for j0 := k + 1; j0 < b.nb; j0 += opt.ColsPerTask {
-			j1 := min(b.nb, j0+opt.ColsPerTask)
-			gc0, _ := b.colRange(j0)
-			_, gc1 := b.colRange(j1 - 1)
-			gw := gc1 - gc0
+		for _, grp := range groups {
+			gc0, gw := grp.c0, grp.w
 			s := &sched.Task{
-				Label:    fmt.Sprintf("S k=%d leaf=%d j=%d", k, i, j0),
+				Label:    fmt.Sprintf("S k=%d leaf=%d j=%d", k, i, grp.j0),
 				Kind:     sched.KindS,
-				Priority: priority(opt, b.nb, k, j0, bonusS),
+				Priority: priority(opt, b.nb, k, grp.j0, bonusS),
 				Flops:    4 * float64(rows) * float64(w) * float64(gw),
 				Class:    sched.ClassBLAS3,
 			}
@@ -286,10 +250,8 @@ func (b *caqrBuilder) buildIteration(k int) {
 				t.Out = func() []float64 { return b.a.Col(gc0)[r0+lo : r0+hi] }
 			}
 			b.g.Add(s)
-			b.dep(s, t)
-			for j := j0; j < j1; j++ {
-				b.dep(s, b.fronts[j].write(r0+lo, r0+hi, s)...)
-			}
+			b.g.AddDeps(s, t)
+			b.write(s, grp.j0, grp.j1, r0+lo, r0+hi)
 		}
 	}
 
@@ -337,24 +299,21 @@ func (b *caqrBuilder) buildIteration(k int) {
 				t.Out = func() []float64 { return b.a.Col(c0 + w - 1)[r0+out.Row : r0+out.Row+out.K] }
 			}
 			b.g.Add(t)
-			b.dep(t, deps...)
+			b.g.AddDeps(t, deps...)
 			producers[node.Out.Row] = t
 			treeTasks[l][q] = t
 
-			for j0 := k + 1; j0 < b.nb; j0 += opt.ColsPerTask {
-				j1 := min(b.nb, j0+opt.ColsPerTask)
-				gc0, _ := b.colRange(j0)
-				_, gc1 := b.colRange(j1 - 1)
-				gw := gc1 - gc0
+			for _, grp := range groups {
+				gc0, gw := grp.c0, grp.w
 				sFlops := 4 * float64(total) * float64(w) * float64(gw)
 				if structured {
 					// TTMQRT: three triangular multiplies of w x gw.
 					sFlops = 3 * float64(w) * float64(w) * float64(gw)
 				}
 				s := &sched.Task{
-					Label:    fmt.Sprintf("S k=%d tree l=%d q=%d j=%d", k, l, q, j0),
+					Label:    fmt.Sprintf("S k=%d tree l=%d q=%d j=%d", k, l, q, grp.j0),
 					Kind:     sched.KindS,
-					Priority: priority(opt, b.nb, k, j0, bonusS),
+					Priority: priority(opt, b.nb, k, grp.j0, bonusS),
 					Flops:    sFlops,
 					Class:    sched.ClassBLAS3,
 				}
@@ -368,11 +327,9 @@ func (b *caqrBuilder) buildIteration(k int) {
 					t.Out = func() []float64 { return b.a.Col(gc0)[r0+cr.Row : r0+cr.Row+cr.K] }
 				}
 				b.g.Add(s)
-				b.dep(s, t)
-				for j := j0; j < j1; j++ {
-					for _, cr := range node.In {
-						b.dep(s, b.fronts[j].write(r0+cr.Row, r0+cr.Row+cr.K, s)...)
-					}
+				b.g.AddDeps(s, t)
+				for _, cr := range node.In {
+					b.write(s, grp.j0, grp.j1, r0+cr.Row, r0+cr.Row+cr.K)
 				}
 			}
 		}
@@ -401,8 +358,8 @@ func (b *caqrBuilder) buildIteration(k int) {
 			t := c
 			t.Run = func() { f.ApplyLeafQT(i, uview) }
 			b.g.Add(c)
-			b.dep(c, leafTasks[i])
-			b.dep(c, b.ufront.write(r0+lo, r0+hi, c)...)
+			b.g.AddDeps(c, leafTasks[i])
+			b.g.AddDeps(c, b.ufront.write(r0+lo, r0+hi, c)...)
 		}
 		for l := range levels {
 			l := l
@@ -423,9 +380,9 @@ func (b *caqrBuilder) buildIteration(k int) {
 				t := c
 				t.Run = func() { f.ApplyNodeQT(l, q, uview) }
 				b.g.Add(c)
-				b.dep(c, treeTasks[l][q])
+				b.g.AddDeps(c, treeTasks[l][q])
 				for _, cr := range node.In {
-					b.dep(c, b.ufront.write(r0+cr.Row, r0+cr.Row+cr.K, c)...)
+					b.g.AddDeps(c, b.ufront.write(r0+cr.Row, r0+cr.Row+cr.K, c)...)
 				}
 			}
 		}
@@ -447,9 +404,9 @@ func (b *caqrBuilder) buildIteration(k int) {
 			}
 		}
 		b.g.Add(v)
-		b.dep(v, producers[0])
-		b.dep(v, b.fronts[k].read(0, b.m)...)
-		b.dep(v, b.ufront.read(0, b.m)...)
+		b.g.AddDeps(v, producers[0])
+		b.g.AddDeps(v, b.fronts[k].read(0, b.m)...)
+		b.g.AddDeps(v, b.ufront.read(0, b.m)...)
 	}
 }
 

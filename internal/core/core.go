@@ -75,11 +75,6 @@ type Options struct {
 	// task (the paper's future-work two-level blocking B = ColsPerTask*b).
 	// Zero or one keeps the paper's one-column-per-task decomposition.
 	ColsPerTask int
-	// WorkStealing runs the graph on the Cilk-style work-stealing runner
-	// instead of the paper's centralized priority scheduler. Results are
-	// bit-identical (tasks write disjoint regions); only the schedule
-	// changes. For the scheduling ablation.
-	WorkStealing bool
 	// GrowthThreshold arms CALU's pivot-growth guardrail: after each
 	// panel's tournament, if the composite factor's max|U| exceeds
 	// GrowthThreshold * max|A| the panel is re-factored in place with
@@ -104,12 +99,6 @@ type Options struct {
 	// or any mismatch in CAQR, whose panels are factored in place — fails
 	// the run with an error wrapping ErrCorrupted, which is retryable.
 	Verify bool
-	// VerifyTolerance scales the checksum comparison tolerance: a column's
-	// predicted and actual checksums may differ by up to
-	// VerifyTolerance * m * max|A|. Zero defaults to 1e-8 — roughly six
-	// orders of magnitude above the identity's roundoff noise for the sizes
-	// this library targets, and twelve below a flipped exponent bit.
-	VerifyTolerance float64
 	// MaxPanelRecomputes caps how many panels one CALU run may recompute
 	// before escalating to ErrCorrupted. Zero defaults to 2; negative
 	// disables local recovery (every detection escalates).
@@ -165,9 +154,6 @@ func (o *Options) normalize(m, n int) error {
 	if o.ColsPerTask < 1 {
 		o.ColsPerTask = 1
 	}
-	if o.VerifyTolerance <= 0 {
-		o.VerifyTolerance = 1e-8
-	}
 	if o.MaxPanelRecomputes == 0 {
 		o.MaxPanelRecomputes = 2
 	}
@@ -215,6 +201,13 @@ func priority(opt *Options, nBlocks, iter, col, bonus int) int {
 	return (nBlocks-iter)*1000 + bonus
 }
 
+// verifyTol scales verify mode's checksum comparisons: a column's predicted
+// and actual checksums may differ by up to verifyTol * m * max|A| (times
+// sqrt(m) for QR). It sits roughly six orders of magnitude above the
+// identities' roundoff noise for the sizes this library targets, and twelve
+// below a flipped exponent bit.
+const verifyTol = 1e-8
+
 // Within-column task bonuses: the panel chain (P then L) outranks U, which
 // outranks S, mirroring the paper's "highest priority to tasks on the
 // critical path".
@@ -226,6 +219,61 @@ const (
 	bonusS        = 70
 	bonusV        = 60 // checksum verification rides the schedule's slack
 )
+
+// builder is the graph-construction state CALU and CAQR share: the graph,
+// the block-column geometry and one last-writer frontier per block column,
+// plus the matrix and its ABFT inputs for bound builds.
+type builder struct {
+	g      *sched.Graph
+	opt    *Options
+	m, n   int
+	nb     int // number of block columns
+	fronts []frontier
+
+	// Binding state; nil / zero for graph-only builds.
+	a     *matrix.Dense
+	maxA  float64   // max|A| of the input: growth and checksum scale
+	wsums []float64 // verify mode: the pristine input's column sums
+}
+
+func newBuilder(m, n int, opt *Options) builder {
+	nb := (n + opt.BlockSize - 1) / opt.BlockSize
+	return builder{g: sched.NewGraph(), opt: opt, m: m, n: n, nb: nb, fronts: make([]frontier, nb)}
+}
+
+// verifyOn reports whether this builder checks ABFT invariants: bound, with
+// Options.Verify set.
+func (b *builder) verifyOn() bool { return b.a != nil && b.opt.Verify }
+
+// colRange returns the column range [c0, c1) of block column j.
+func (b *builder) colRange(j int) (int, int) {
+	c0 := j * b.opt.BlockSize
+	return c0, min(b.n, c0+b.opt.BlockSize)
+}
+
+// colGroup is the block columns [j0, j1) one U or S task updates: up to
+// ColsPerTask of them, matrix columns [c0, c0+w).
+type colGroup struct{ j0, j1, c0, w int }
+
+// trailing returns the groups of block columns right of panel k.
+func (b *builder) trailing(k int) []colGroup {
+	var gs []colGroup
+	for j0 := k + 1; j0 < b.nb; j0 += b.opt.ColsPerTask {
+		j1 := min(b.nb, j0+b.opt.ColsPerTask)
+		c0, _ := b.colRange(j0)
+		_, c1 := b.colRange(j1 - 1)
+		gs = append(gs, colGroup{j0, j1, c0, c1 - c0})
+	}
+	return gs
+}
+
+// write makes t the last writer of rows [lo, hi) in block columns [j0, j1),
+// ordered after the tasks that wrote them before.
+func (b *builder) write(t *sched.Task, j0, j1, lo, hi int) {
+	for j := j0; j < j1; j++ {
+		b.g.AddDeps(t, b.fronts[j].write(lo, hi, t)...)
+	}
+}
 
 // span is a half-open row interval [lo, hi) with the task that last wrote it.
 type span struct {

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/tiled"
 )
 
 func mkTask(id int) *sched.Task { return &sched.Task{ID: id} }
@@ -132,5 +134,45 @@ func TestFrontierProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGraphShapes pins exact task and edge counts, so a change to the graph
+// wiring (frontiers, trailing column groups, Graph.AddDeps) that adds or
+// drops a task or an edge fails here. Verify mode adds the V and C tasks.
+func TestGraphShapes(t *testing.T) {
+	opt := Options{BlockSize: 100, PanelThreads: 4, Workers: 2, Lookahead: true}
+	grouped := opt
+	grouped.ColsPerTask = 3
+	verify := opt
+	verify.Verify = true
+	lu, err := PrepareCALU(matrix.Random(1024, 1024, 1), verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := PrepareCAQR(matrix.Random(768, 768, 1), verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile := tiled.Options{TileSize: 128, Workers: 2}
+	for _, tc := range []struct {
+		name         string
+		g            *sched.Graph
+		tasks, edges int
+	}{
+		{"CALU 10000x200", BuildCALUGraph(10000, 200, opt), 29, 43},
+		{"CALU 1024x1024", BuildCALUGraph(1024, 1024, opt), 403, 1092},
+		{"CAQR 10000x200", BuildCAQRGraph(10000, 200, opt), 21, 35},
+		{"CAQR 768x768", BuildCAQRGraph(768, 768, opt), 214, 595},
+		{"tiled GETRF 1024x1024", tiled.BuildGETRFGraph(1024, 1024, tile), 204, 476},
+		{"tiled GEQRF 1024x1024", tiled.BuildGEQRFGraph(1024, 1024, tile), 204, 476},
+		{"CALU 1024x1024 ColsPerTask 3", BuildCALUGraph(1024, 1024, grouped), 238, 795},
+		{"CAQR 768x768 ColsPerTask 3", BuildCAQRGraph(768, 768, grouped), 110, 491},
+		{"CALU 1024x1024 Verify", lu.Graph(), 414, 1208},
+		{"CAQR 768x768 Verify", qr.Graph(), 260, 837},
+	} {
+		if tasks, edges := tc.g.Len(), tc.g.Edges(); tasks != tc.tasks || edges != tc.edges {
+			t.Errorf("%s: %d tasks, %d edges; want %d, %d", tc.name, tasks, edges, tc.tasks, tc.edges)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,35 +84,33 @@ func TestSubmitCtxPreCancelledRejects(t *testing.T) {
 }
 
 func TestSubmitCtxCancelMidRunDrains(t *testing.T) {
-	for _, pol := range []Policy{Priority, Stealing} {
-		p := NewPool(2)
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int32
-		started := make(chan struct{})
-		release := make(chan struct{})
-		const n = 20
-		sub, err := p.SubmitCtx(ctx, gateChain(n, &ran, started, release), SubmitOptions{Trace: true, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-started
-		cancel()
-		waitFailed(t, p, sub) // cancel observed while task 0 still runs
-		close(release)
+	p := NewPool(2)
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	started := make(chan struct{})
+	release := make(chan struct{})
+	const n = 20
+	sub, err := p.SubmitCtx(ctx, gateChain(n, &ran, started, release), SubmitOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	cancel()
+	waitFailed(t, p, sub) // cancel observed while task 0 still runs
+	close(release)
 
-		events, werr := sub.Wait()
-		if !errors.Is(werr, context.Canceled) || !errors.Is(werr, ErrCancelled) {
-			t.Fatalf("policy %d: Wait = %v, want wrapped context.Canceled and ErrCancelled", pol, werr)
-		}
-		if got := ran.Load(); got != 1 {
-			t.Fatalf("policy %d: %d tasks ran after mid-run cancel, want 1", pol, got)
-		}
-		// Drained tasks must leave no trace events: only task 0 executed.
-		if len(events) != 1 {
-			t.Fatalf("policy %d: %d trace events for 1 executed task", pol, len(events))
-		}
-		cancel()
-		p.Close()
+	events, werr := sub.Wait()
+	if !errors.Is(werr, context.Canceled) || !errors.Is(werr, ErrCancelled) {
+		t.Fatalf("Wait = %v, want wrapped context.Canceled and ErrCancelled", werr)
+	}
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("%d tasks ran after mid-run cancel, want 1", got)
+	}
+	// Drained tasks must leave no trace events: only task 0 executed.
+	if len(events) != 1 {
+		t.Fatalf("%d trace events for 1 executed task", len(events))
 	}
 }
 
@@ -168,11 +165,7 @@ func TestSubmitCtxCancelOneOfManyConcurrent(t *testing.T) {
 				defer wg.Done()
 				var mu sync.Mutex
 				var order []int
-				pol := Priority
-				if s%2 == 1 {
-					pol = Stealing
-				}
-				sub, err := p.Submit(chainGraph(chain, &mu, &order), SubmitOptions{Policy: pol})
+				sub, err := p.Submit(chainGraph(chain, &mu, &order), SubmitOptions{})
 				if err != nil {
 					t.Errorf("healthy submit: %v", err)
 					return
@@ -294,23 +287,23 @@ func TestDrainedTasksLeaveNoTraceEvents(t *testing.T) {
 	}
 }
 
-// TestStealReleasesStolenSlot checks that the thief path does not pin
-// stolen tasks: the FIFO re-slice keeps the deque's backing array alive, so
-// the vacated slot must be nil'd for the task to become collectable.
-func TestStealReleasesStolenSlot(t *testing.T) {
-	t1 := &Task{ID: 1}
-	t2 := &Task{ID: 2}
-	backing := []*Task{t1, t2}
-	s := &Submission{deques: [][]*Task{backing, nil}}
-	p := &Pool{workers: 2, metrics: newPoolMetrics(2)}
-	got := s.take(p, 1, rand.New(rand.NewSource(1))) // worker 1's deque is empty: steal from 0
-	if got != t1 {
-		t.Fatalf("thief stole task %v, want %v", got, t1)
+// TestTakeReleasesPoppedSlot checks that taking a ready task does not pin
+// it: the heap's re-slice keeps its backing array alive for the
+// submission's lifetime, so the vacated slot must be nil'd for the task to
+// become collectable.
+func TestTakeReleasesPoppedSlot(t *testing.T) {
+	t1 := &Task{ID: 1, Priority: 9}
+	t2 := &Task{ID: 2, Priority: 1}
+	backing := taskHeap{t1, t2}
+	s := &Submission{ready: backing}
+	p := &Pool{workers: 1, metrics: newPoolMetrics(1)}
+	if got := s.take(p); got != t1 {
+		t.Fatalf("took task %v, want %v", got, t1)
 	}
-	if backing[0] != nil {
-		t.Fatal("stolen slot still references the task; backing array pins it")
+	if backing[1] != nil {
+		t.Fatal("popped slot still references a task; backing array pins it")
 	}
-	if len(s.deques[0]) != 1 || s.deques[0][0] != t2 {
-		t.Fatalf("victim deque corrupted: %v", s.deques[0])
+	if len(s.ready) != 1 || s.ready[0] != t2 {
+		t.Fatalf("ready heap corrupted: %v", s.ready)
 	}
 }

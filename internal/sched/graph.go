@@ -8,7 +8,10 @@
 // run through the deterministic virtual-time simulator in package simsched.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind labels a task with the role it plays in the factorization, matching
 // the paper's naming: P (panel / tree node), L (panel column of L), U (pivot
@@ -128,6 +131,18 @@ func (g *Graph) AddDep(pre, post *Task) {
 	pre.succs = append(pre.succs, post.ID)
 	post.ndeps++
 	g.edges++
+}
+
+// AddDeps records that t cannot start until every task in pres has
+// completed. Nil entries are skipped and a task listed more than once in
+// one call gets a single edge, so builders can pass the raw last-writer
+// lists of the regions t touches.
+func (g *Graph) AddDeps(t *Task, pres ...*Task) {
+	for i, p := range pres {
+		if p != nil && !slices.Contains(pres[:i], p) {
+			g.AddDep(p, t)
+		}
+	}
 }
 
 // Len returns the number of tasks.

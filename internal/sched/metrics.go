@@ -8,9 +8,9 @@ import (
 )
 
 // metrics.go is the pool's always-on instrumentation: per-worker busy time
-// and task counts (lock-free atomics on the worker hot path), steal and
-// queue-depth accounting (plain fields guarded by pool.mu, updated where
-// the scheduler already holds it), and per-Kind task-latency histograms.
+// and task counts (lock-free atomics on the worker hot path), queue-depth
+// accounting (plain fields guarded by pool.mu, updated where the scheduler
+// already holds it), and per-Kind task-latency histograms.
 // The paper argues CALU/CAQR from where worker time goes (Figs. 3-4);
 // Pool.Metrics is the numeric form of that argument, cheap enough to leave
 // enabled under production traffic.
@@ -43,8 +43,6 @@ type poolMetrics struct {
 	kindLatency [numKinds]*obs.Histogram // per-Kind task wall time, seconds
 
 	// Guarded by pool.mu (updated where the scheduler already holds it).
-	stealAttempts  int64 // empty own deque → scanned victims
-	stealSuccesses int64 // scan yielded a task
 	readyCount     int64 // tasks currently ready across submissions
 	readyHighWater int64 // max readyCount since pool start
 	submissions    int64 // graphs accepted since pool start
@@ -103,10 +101,6 @@ type PoolMetrics struct {
 	// Idle time for w is Uptime - WorkerBusy[w].
 	WorkerBusy  []time.Duration
 	WorkerTasks []int64
-	// StealAttempts counts deque scans by workers whose own deque was empty
-	// (Stealing policy only); StealSuccesses the scans that found a task.
-	StealAttempts  int64
-	StealSuccesses int64
 	// ReadyDepth is the current number of ready tasks across submissions;
 	// ReadyHighWater its maximum since pool start.
 	ReadyDepth     int64
@@ -149,8 +143,6 @@ func (p *Pool) Metrics() PoolMetrics {
 	}
 	p.mu.Lock()
 	pm.Submissions = m.submissions
-	pm.StealAttempts = m.stealAttempts
-	pm.StealSuccesses = m.stealSuccesses
 	pm.ReadyDepth = m.readyCount
 	pm.ReadyHighWater = m.readyHighWater
 	p.mu.Unlock()

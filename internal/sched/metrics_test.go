@@ -74,11 +74,9 @@ func TestPoolMetricsBasics(t *testing.T) {
 	}
 }
 
-// TestPoolMetricsStealing runs a wide graph under the Stealing policy and
-// checks the steal accounting moves: with one worker's deque seeded and
-// others empty, thieves must record attempts, and any cross-deque execution
-// records successes.
-func TestPoolMetricsStealing(t *testing.T) {
+// TestPoolMetricsWideGraph runs 64 independent tasks across four workers
+// and checks every one lands in its kind's latency histogram.
+func TestPoolMetricsWideGraph(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 
@@ -88,7 +86,7 @@ func TestPoolMetricsStealing(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 		}})
 	}
-	s, err := p.Submit(g, SubmitOptions{Policy: Stealing})
+	s, err := p.Submit(g, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +94,6 @@ func TestPoolMetricsStealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := p.Metrics()
-	if m.StealAttempts == 0 {
-		t.Fatal("StealAttempts = 0 after a stealing run with empty deques")
-	}
-	if m.StealSuccesses > m.StealAttempts {
-		t.Fatalf("StealSuccesses %d > StealAttempts %d", m.StealSuccesses, m.StealAttempts)
-	}
 	if m.KindLatency[KindP].Count != 64 {
 		t.Fatalf("KindLatency[P].Count = %d, want 64", m.KindLatency[KindP].Count)
 	}
@@ -133,7 +125,7 @@ func TestPoolMetricsConcurrentSnapshot(t *testing.T) {
 	}()
 	for i := 0; i < 8; i++ {
 		g := buildChain(4, 50*time.Microsecond, Kind(i%int(KindOther)))
-		s, err := p.Submit(g, SubmitOptions{Policy: Policy(i % 2)})
+		s, err := p.Submit(g, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,20 +21,6 @@ var ErrPoolClosed = errors.New("sched: pool is closed")
 // errors.Is(err, sched.ErrCancelled) or errors.Is(err, context.Canceled) /
 // context.DeadlineExceeded.
 var ErrCancelled = errors.New("sched: submission cancelled")
-
-// Policy selects how a submission's ready tasks are ordered among the
-// pool's workers.
-type Policy uint8
-
-// Scheduling policies. Priority is the paper's centralized scheduler: every
-// free worker takes the highest-priority ready task, which realizes the
-// look-ahead scheme. Stealing is the Cilk-style alternative: each worker
-// keeps its own LIFO deque and steals FIFO from victims when empty, trading
-// the global priority order for less contention.
-const (
-	Priority Policy = iota
-	Stealing
-)
 
 // TaskInfo describes one task execution to an Interceptor: enough identity
 // (label, kind, worker) for deterministic fault targeting, without exposing
@@ -74,21 +59,16 @@ type PostInterceptor func(TaskInfo)
 type SubmitOptions struct {
 	// Trace records an Event per task, retrievable from Submission.Wait.
 	Trace bool
-	// Policy is the ready-task ordering for this submission.
-	Policy Policy
-	// Seed perturbs victim selection under the Stealing policy; 0 uses a
-	// per-worker default. Victim choice is never fully deterministic on a
-	// shared pool, since wall-clock interleaving decides which worker runs
-	// which task.
-	Seed int64
 }
 
 // Pool is a persistent executor: a fixed set of worker goroutines that
 // lives for the process (or service) lifetime and accepts concurrent graph
-// submissions. Each submission keeps its own ready set, priority space,
-// trace and failure state, so several factorizations can interleave on the
-// same cores; a panicking task fails only its own submission and leaves the
-// pool usable.
+// submissions. It is the paper's centralized dynamic scheduler: a free
+// worker takes the highest-priority ready task, which realizes the
+// look-ahead scheme. Each submission keeps its own ready heap, priority
+// space, trace and failure state, so several factorizations can interleave
+// on the same cores; a panicking task fails only its own submission and
+// leaves the pool usable.
 //
 // It is the only executor: long-lived callers (factor.Engine) hold one Pool
 // and amortize worker startup across many factorizations, and one-shot
@@ -267,8 +247,7 @@ type Submission struct {
 	done  chan struct{}
 
 	// The fields below are guarded by pool.mu until done is closed.
-	ready   taskHeap  // Priority policy
-	deques  [][]*Task // Stealing policy: per-worker deque (LIFO own, FIFO steal)
+	ready   taskHeap
 	deps    []int
 	pending int
 	failed  error
@@ -318,31 +297,15 @@ func (p *Pool) SubmitCtx(ctx context.Context, g *Graph, opt SubmitOptions) (*Sub
 	}
 	s.pending = n
 	s.deps = make([]int, n)
-	var initial taskHeap
 	for i, t := range g.tasks {
 		s.deps[i] = t.ndeps
 		if t.ndeps == 0 {
-			initial = append(initial, t)
+			s.ready = append(s.ready, t)
 		}
 	}
-	nready := initial.Len()
-	heap.Init(&initial)
-	if opt.Policy == Stealing {
-		// Seed the deques with the initial ready set in priority order,
-		// round-robin across workers, so high-priority panels start first
-		// even though stealing gives no global ordering afterwards.
-		s.deques = make([][]*Task, p.workers)
-		at := 0
-		for initial.Len() > 0 {
-			t := heap.Pop(&initial).(*Task)
-			s.deques[at%p.workers] = append(s.deques[at%p.workers], t)
-			at++
-		}
-	} else {
-		s.ready = initial
-	}
+	heap.Init(&s.ready)
 	p.metrics.submissions++
-	p.metrics.readyDelta(int64(nready))
+	p.metrics.readyDelta(int64(s.ready.Len()))
 	p.subs = append(p.subs, s)
 	p.mu.Unlock()
 	p.cond.Broadcast()
@@ -395,44 +358,9 @@ func (s *Submission) Wait() ([]Event, error) {
 // Done returns a channel closed when the submission has finished.
 func (s *Submission) Done() <-chan struct{} { return s.done }
 
-// take pops one ready task for the given worker, or nil. Caller holds
-// pool.mu (which also guards the steal/depth counters updated here).
-func (s *Submission) take(p *Pool, worker int, rng *rand.Rand) *Task {
-	workers := p.workers
-	if s.deques != nil {
-		if own := s.deques[worker]; len(own) > 0 {
-			t := own[len(own)-1] // LIFO: depth first, cache friendly
-			s.deques[worker] = own[:len(own)-1]
-			p.metrics.readyDelta(-1)
-			return t
-		}
-		p.metrics.stealAttempts++
-		at := worker
-		if workers > 1 {
-			at = int((int64(rng.Intn(workers)) + s.opt.Seed) % int64(workers))
-			if at < 0 {
-				at += workers
-			}
-		}
-		for i := 0; i < workers; i++ {
-			v := (at + i) % workers
-			if v == worker {
-				continue
-			}
-			if q := s.deques[v]; len(q) > 0 {
-				t := q[0] // FIFO for thieves
-				// The re-slice below keeps the backing array alive for the
-				// submission's lifetime; nil the stolen slot so the task
-				// does not stay reachable through it.
-				q[0] = nil
-				s.deques[v] = q[1:]
-				p.metrics.stealSuccesses++
-				p.metrics.readyDelta(-1)
-				return t
-			}
-		}
-		return nil
-	}
+// take pops the submission's highest-priority ready task, or nil. Caller
+// holds pool.mu (which also guards the depth counters updated here).
+func (s *Submission) take(p *Pool) *Task {
 	if len(s.ready) == 0 {
 		return nil
 	}
@@ -441,22 +369,18 @@ func (s *Submission) take(p *Pool, worker int, rng *rand.Rand) *Task {
 }
 
 // push makes a newly ready task available. Caller holds pool.mu.
-func (s *Submission) push(p *Pool, t *Task, worker int) {
+func (s *Submission) push(p *Pool, t *Task) {
 	p.metrics.readyDelta(1)
-	if s.deques != nil {
-		s.deques[worker] = append(s.deques[worker], t)
-		return
-	}
 	heap.Push(&s.ready, t)
 }
 
 // takeLocked scans the active submissions round-robin for a ready task.
 // Caller holds pool.mu.
-func (p *Pool) takeLocked(worker int, rng *rand.Rand) (*Submission, *Task) {
+func (p *Pool) takeLocked() (*Submission, *Task) {
 	n := len(p.subs)
 	for i := 0; i < n; i++ {
 		s := p.subs[(p.rr+i)%n]
-		if t := s.take(p, worker, rng); t != nil {
+		if t := s.take(p); t != nil {
 			p.rr = (p.rr + i + 1) % n
 			return s, t
 		}
@@ -479,10 +403,9 @@ func (p *Pool) removeLocked(s *Submission) {
 
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
-	rng := rand.New(rand.NewSource(int64(id)*2654435761 + 1))
 	p.mu.Lock()
 	for {
-		s, t := p.takeLocked(id, rng)
+		s, t := p.takeLocked()
 		if t == nil {
 			if p.closed && len(p.subs) == 0 {
 				p.mu.Unlock()
@@ -521,7 +444,7 @@ func (p *Pool) worker(id int) {
 		for _, succ := range t.succs {
 			s.deps[succ]--
 			if s.deps[succ] == 0 {
-				s.push(p, s.g.tasks[succ], id)
+				s.push(p, s.g.tasks[succ])
 				woke = true
 			}
 		}

@@ -39,11 +39,7 @@ func TestPoolConcurrentSubmissions(t *testing.T) {
 			defer wg.Done()
 			var mu sync.Mutex
 			var order []int
-			pol := Priority
-			if s%2 == 1 {
-				pol = Stealing
-			}
-			sub, err := p.Submit(chainGraph(chain, &mu, &order), SubmitOptions{Policy: pol})
+			sub, err := p.Submit(chainGraph(chain, &mu, &order), SubmitOptions{})
 			if err != nil {
 				t.Errorf("submit %d: %v", s, err)
 				return
@@ -148,40 +144,38 @@ func TestPoolEmptyGraphCompletesImmediately(t *testing.T) {
 func TestPoolTraceCoversEveryTaskOnce(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
-	for _, pol := range []Policy{Priority, Stealing} {
-		var mu sync.Mutex
-		var order []int
-		g := chainGraph(20, &mu, &order)
-		sub, err := p.Submit(g, SubmitOptions{Trace: true, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	var order []int
+	g := chainGraph(20, &mu, &order)
+	sub, err := p.Submit(g, SubmitOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := sub.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != g.Len() {
+		t.Fatalf("%d events for %d tasks", len(events), g.Len())
+	}
+	seen := map[int]bool{}
+	for _, e := range events {
+		if seen[e.TaskID] {
+			t.Fatalf("task %d traced twice", e.TaskID)
 		}
-		events, err := sub.Wait()
-		if err != nil {
-			t.Fatal(err)
+		seen[e.TaskID] = true
+		if e.Worker < 0 || e.Worker >= p.Workers() {
+			t.Fatalf("bad worker %d", e.Worker)
 		}
-		if len(events) != g.Len() {
-			t.Fatalf("policy %d: %d events for %d tasks", pol, len(events), g.Len())
-		}
-		seen := map[int]bool{}
-		for _, e := range events {
-			if seen[e.TaskID] {
-				t.Fatalf("policy %d: task %d traced twice", pol, e.TaskID)
-			}
-			seen[e.TaskID] = true
-			if e.Worker < 0 || e.Worker >= p.Workers() {
-				t.Fatalf("policy %d: bad worker %d", pol, e.Worker)
-			}
-			if e.End < e.Start {
-				t.Fatalf("policy %d: end before start", pol)
-			}
+		if e.End < e.Start {
+			t.Fatal("end before start")
 		}
 	}
 }
 
 func TestPoolPriorityOrderSingleWorker(t *testing.T) {
-	// With one worker and no dependencies, the Priority policy must run
-	// tasks in strict priority order (ties toward lower ID).
+	// With one worker and no dependencies, tasks must run in strict
+	// priority order (ties toward lower ID).
 	p := NewPool(1)
 	defer p.Close()
 	var mu sync.Mutex
@@ -208,28 +202,5 @@ func TestPoolPriorityOrderSingleWorker(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("priority order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestPoolStealingRunsEverything(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int32
-	g := NewGraph()
-	// A two-level fan-out: one root, many independent children.
-	root := g.Add(&Task{Run: func() { count.Add(1) }})
-	for i := 0; i < 40; i++ {
-		c := g.Add(&Task{Run: func() { count.Add(1) }})
-		g.AddDep(root, c)
-	}
-	sub, err := p.Submit(g, SubmitOptions{Policy: Stealing, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 41 {
-		t.Fatalf("ran %d of 41 tasks", count.Load())
 	}
 }

@@ -284,86 +284,3 @@ func TestRunnerPanicStopsRemainingWork(t *testing.T) {
 		t.Fatalf("%d tasks ran after the panic", ran.Load())
 	}
 }
-
-func TestStealingRunnerAllTasksOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		const n = 300
-		g := NewGraph()
-		var count atomic.Int64
-		tasks := make([]*Task, n)
-		for i := 0; i < n; i++ {
-			tasks[i] = g.Add(&Task{Run: func() { count.Add(1) }})
-		}
-		for i := 7; i < n; i++ {
-			g.AddDep(tasks[i-7], tasks[i])
-		}
-		count.Store(0)
-		mustRun(t, workers, g, SubmitOptions{Policy: Stealing})
-		if count.Load() != n {
-			t.Fatalf("workers=%d: ran %d of %d", workers, count.Load(), n)
-		}
-	}
-}
-
-func TestStealingRunnerTopologicalProperty(t *testing.T) {
-	f := func(seed int64, workers uint8) bool {
-		w := int(workers)%6 + 1
-		g := NewGraph()
-		const n = 60
-		tasks := make([]*Task, n)
-		pos := make([]int64, n)
-		var ctr atomic.Int64
-		for i := 0; i < n; i++ {
-			i := i
-			tasks[i] = g.Add(&Task{Run: func() { pos[i] = ctr.Add(1) }})
-		}
-		s := uint64(seed)
-		edges := [][2]int{}
-		for i := 1; i < n; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			j := int(s % uint64(i))
-			g.AddDep(tasks[j], tasks[i])
-			edges = append(edges, [2]int{j, i})
-		}
-		if _, err := runOnPool(w, g, SubmitOptions{Policy: Stealing, Seed: seed}); err != nil {
-			return false
-		}
-		for _, e := range edges {
-			if pos[e[0]] >= pos[e[1]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStealingRunnerTrace(t *testing.T) {
-	g := NewGraph()
-	for i := 0; i < 25; i++ {
-		g.Add(&Task{Run: func() {}})
-	}
-	events := mustRun(t, 3, g, SubmitOptions{Trace: true, Policy: Stealing})
-	if len(events) != 25 {
-		t.Fatalf("%d events", len(events))
-	}
-}
-
-func TestStealingRunnerPanicPropagates(t *testing.T) {
-	g := NewGraph()
-	g.Add(&Task{Run: func() { panic("steal boom") }})
-	for i := 0; i < 10; i++ {
-		g.Add(&Task{Run: func() {}})
-	}
-	if _, err := runOnPool(3, g, SubmitOptions{Policy: Stealing}); err == nil {
-		t.Fatal("expected the task panic as Wait's error")
-	}
-}
-
-func TestStealingRunnerEmptyGraph(t *testing.T) {
-	if ev := mustRun(t, 2, NewGraph(), SubmitOptions{Trace: true, Policy: Stealing}); ev != nil {
-		t.Fatalf("events %v", ev)
-	}
-}

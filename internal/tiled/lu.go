@@ -108,7 +108,7 @@ func buildLUGraph(gr grid, res *LU) *sched.Graph {
 			}
 		}
 		g.Add(getrf)
-		dep(g, getrf, wt.get(k, k))
+		g.AddDeps(getrf, wt.get(k, k))
 		wt.set(k, k, getrf)
 
 		// GESSM: apply the diagonal tile's pivoting and L to row tiles.
@@ -139,7 +139,7 @@ func buildLUGraph(gr grid, res *LU) *sched.Graph {
 				}
 			}
 			g.Add(gessm)
-			dep(g, gessm, getrf, wt.get(k, j))
+			g.AddDeps(gessm, getrf, wt.get(k, j))
 			wt.set(k, j, gessm)
 			gessmTasks[j] = gessm
 		}
@@ -190,7 +190,7 @@ func buildLUGraph(gr grid, res *LU) *sched.Graph {
 				}
 			}
 			g.Add(tstrf)
-			dep(g, tstrf, prevPanel, wt.get(i, k))
+			g.AddDeps(tstrf, prevPanel, wt.get(i, k))
 			wt.set(i, k, tstrf)
 			// The diagonal tile's U is rewritten, so later readers of
 			// (k,k) must follow; record tstrf as its writer.
@@ -216,7 +216,7 @@ func buildLUGraph(gr grid, res *LU) *sched.Graph {
 					}
 				}
 				g.Add(ssssm)
-				dep(g, ssssm, tstrf, prevUpdate[j], wt.get(i, j))
+				g.AddDeps(ssssm, tstrf, prevUpdate[j], wt.get(i, j))
 				wt.set(i, j, ssssm)
 				wt.set(k, j, ssssm)
 				nextUpdate[j] = ssssm

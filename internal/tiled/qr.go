@@ -95,7 +95,7 @@ func buildQRGraph(gr grid, res *QR) *sched.Graph {
 			}
 		}
 		g.Add(geqrt)
-		dep(g, geqrt, wt.get(k, k))
+		g.AddDeps(geqrt, wt.get(k, k))
 		wt.set(k, k, geqrt)
 
 		ormqrTasks := make([]*sched.Task, gr.nt)
@@ -116,7 +116,7 @@ func buildQRGraph(gr grid, res *QR) *sched.Graph {
 				}
 			}
 			g.Add(ormqr)
-			dep(g, ormqr, geqrt, wt.get(k, j))
+			g.AddDeps(ormqr, geqrt, wt.get(k, j))
 			wt.set(k, j, ormqr)
 			ormqrTasks[j] = ormqr
 		}
@@ -152,7 +152,7 @@ func buildQRGraph(gr grid, res *QR) *sched.Graph {
 				}
 			}
 			g.Add(tsqrt)
-			dep(g, tsqrt, prevPanel, wt.get(i, k))
+			g.AddDeps(tsqrt, prevPanel, wt.get(i, k))
 			wt.set(i, k, tsqrt)
 			wt.set(k, k, tsqrt)
 			prevPanel = tsqrt
@@ -176,7 +176,7 @@ func buildQRGraph(gr grid, res *QR) *sched.Graph {
 					}
 				}
 				g.Add(tsmqr)
-				dep(g, tsmqr, tsqrt, prevUpdate[j], wt.get(i, j))
+				g.AddDeps(tsmqr, tsqrt, prevUpdate[j], wt.get(i, j))
 				wt.set(i, j, tsmqr)
 				wt.set(k, j, tsmqr)
 				nextUpdate[j] = tsmqr

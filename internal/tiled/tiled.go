@@ -83,18 +83,6 @@ func (wt *writerTable) set(i, j int, t *sched.Task) {
 	wt.w[i*wt.g.nt+j] = t
 }
 
-// dep wires deduplicated dependencies.
-func dep(g *sched.Graph, t *sched.Task, pres ...*sched.Task) {
-	seen := make(map[int]bool, len(pres))
-	for _, p := range pres {
-		if p == nil || seen[p.ID] {
-			continue
-		}
-		seen[p.ID] = true
-		g.AddDep(p, t)
-	}
-}
-
 // Priorities: like CALU/CAQR, tasks are ordered by the block column they
 // touch (PLASMA's left-looking progression emerges from the DAG itself, but
 // column-ordered priorities keep the panel chain moving).

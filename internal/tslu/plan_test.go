@@ -130,6 +130,33 @@ func TestPlanDepth(t *testing.T) {
 	}
 }
 
+// TestPlanLevels pins MergeStep.Level: one more than the highest input's
+// level (leaves are 0), with the root holding the plan's maximum.
+func TestPlanLevels(t *testing.T) {
+	for _, tree := range []Tree{Binary, Flat, Hybrid} {
+		for n := 2; n <= 33; n++ {
+			steps := PlanReduction(n, tree)
+			level := make([]int, n, n+len(steps))
+			for _, st := range steps {
+				want := 0
+				for _, in := range st.In {
+					want = max(want, level[in])
+				}
+				if st.Level != want+1 {
+					t.Fatalf("tree=%v leaves=%d step %d: Level %d want %d", tree, n, st.Out, st.Level, want+1)
+				}
+				level = append(level, st.Level)
+			}
+			root := steps[len(steps)-1].Level
+			for _, l := range level {
+				if l > root {
+					t.Fatalf("tree=%v leaves=%d: root Level %d below a step's %d", tree, n, root, l)
+				}
+			}
+		}
+	}
+}
+
 func TestFactorHybridTree(t *testing.T) {
 	for _, tc := range []struct{ m, w, tr int }{
 		{64, 8, 4}, {200, 25, 16}, {100, 10, 7}, {90, 9, 9},

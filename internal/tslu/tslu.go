@@ -62,10 +62,14 @@ func (t Tree) String() string {
 // MergeStep is one node of a reduction plan: the candidate sets at indices
 // In are merged, and the result is referred to by index Out in later steps.
 // Indices 0..nLeaves-1 denote the leaves; each step's Out is the next free
-// index (nLeaves + step number).
+// index (nLeaves + step number). Level is the step's height in the tree: 1
+// for a merge of leaves, one more than its highest input otherwise. The
+// root step has the plan's largest Level, its number of synchronization
+// rounds.
 type MergeStep struct {
-	In  []int
-	Out int
+	In    []int
+	Out   int
+	Level int
 }
 
 // PlanReduction returns the merge schedule of a tournament over nLeaves
@@ -81,11 +85,16 @@ func PlanReduction(nLeaves int, tree Tree) []MergeStep {
 		return nil
 	}
 	var steps []MergeStep
-	next := nLeaves
+	height := make([]int, nLeaves) // tree level per node index; leaves are 0
 	emit := func(in []int) int {
-		steps = append(steps, MergeStep{In: in, Out: next})
-		next++
-		return next - 1
+		lvl := 0
+		for _, i := range in {
+			lvl = max(lvl, height[i])
+		}
+		out := nLeaves + len(steps)
+		steps = append(steps, MergeStep{In: in, Out: out, Level: lvl + 1})
+		height = append(height, lvl+1)
+		return out
 	}
 	switch tree {
 	case Flat:
@@ -109,20 +118,20 @@ func PlanReduction(nLeaves int, tree Tree) []MergeStep {
 			}
 			level = append(level, emit(in))
 		}
-		steps = append(steps, binarySteps(level, &next)...)
+		binaryMerges(level, emit)
 	default: // Binary
 		level := make([]int, nLeaves)
 		for i := range level {
 			level[i] = i
 		}
-		steps = append(steps, binarySteps(level, &next)...)
+		binaryMerges(level, emit)
 	}
 	return steps
 }
 
-// binarySteps pairs up the given node indices level by level.
-func binarySteps(level []int, next *int) []MergeStep {
-	var steps []MergeStep
+// binaryMerges pairs up the given node indices level by level, emitting
+// one merge per pair.
+func binaryMerges(level []int, emit func(in []int) int) {
 	for len(level) > 1 {
 		var up []int
 		for i := 0; i < len(level); i += 2 {
@@ -130,13 +139,10 @@ func binarySteps(level []int, next *int) []MergeStep {
 				up = append(up, level[i])
 				continue
 			}
-			steps = append(steps, MergeStep{In: []int{level[i], level[i+1]}, Out: *next})
-			up = append(up, *next)
-			*next++
+			up = append(up, emit([]int{level[i], level[i+1]}))
 		}
 		level = up
 	}
-	return steps
 }
 
 // ErrSingular is returned when the tournament cannot find enough nonzero

@@ -219,25 +219,19 @@ func Plan(m, w, tr int, tree Tree) (blocks [][2]int, levels [][]Node) {
 	for i, blk := range blocks {
 		carriers[i] = Carrier{Row: blk[0], K: min(blk[1]-blk[0], w)}
 	}
-	depth := make([]int, len(blocks)) // tree level per node index
-	steps := tslu.PlanReduction(len(blocks), tree)
-	for _, st := range steps {
-		total, lvl := 0, 0
+	for _, st := range tslu.PlanReduction(len(blocks), tree) {
+		total := 0
 		in := make([]Carrier, len(st.In))
 		for i, idx := range st.In {
 			in[i] = carriers[idx]
 			total += carriers[idx].K
-			if depth[idx] > lvl {
-				lvl = depth[idx]
-			}
 		}
 		node := Node{In: in, Out: Carrier{Row: in[0].Row, K: min(total, w)}}
 		carriers = append(carriers, node.Out)
-		depth = append(depth, lvl+1)
-		for len(levels) < lvl+1 {
+		for len(levels) < st.Level {
 			levels = append(levels, nil)
 		}
-		levels[lvl] = append(levels[lvl], node)
+		levels[st.Level-1] = append(levels[st.Level-1], node)
 	}
 	return blocks, levels
 }
