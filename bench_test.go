@@ -158,10 +158,12 @@ func BenchmarkAblationTr(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationSync(b *testing.B) {
-	benchExperiment(b, "ablation-sync", map[string][2]string{
-		"calu-edges":   {"tall 1e5x1000", "CALU-edges"},
-		"vendor-edges": {"tall 1e5x1000", "vendor-edges"},
+func BenchmarkComm(b *testing.B) {
+	benchExperiment(b, "comm", map[string][2]string{
+		"calu-edges":          {"tall 1e5x1000", "CALU-edges"},
+		"vendor-edges":        {"tall 1e5x1000", "vendor-edges"},
+		"panel-syncs-classic": {"tall 1e5x1000", "panel-syncs-classic"},
+		"panel-syncs-binary":  {"tall 1e5x1000", "panel-syncs-binary"},
 	})
 }
 
@@ -286,13 +288,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		simsched.Run(g, mach)
 	}
 	b.ReportMetric(float64(g.Len()), "tasks")
-}
-
-func BenchmarkCommStructure(b *testing.B) {
-	benchExperiment(b, "comm", map[string][2]string{
-		"panel-syncs-classic": {"tall 1e5x1000", "panel-syncs-classic"},
-		"panel-syncs-binary":  {"tall 1e5x1000", "panel-syncs-binary"},
-	})
 }
 
 func BenchmarkDistMessages(b *testing.B) {

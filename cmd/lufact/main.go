@@ -27,13 +27,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
 	"repro/factor"
 	"repro/internal/baseline"
-	"repro/internal/blas"
 	"repro/internal/fault"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
@@ -99,7 +97,7 @@ func main() {
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
 		lu.Permute(pa)
-		report = verify(a, pa, orig)
+		report = stability.LUMetrics(a, pa, orig)
 		st := eng.Stats()
 		fmt.Printf("degradation:  fallback-panels=%d retries=%d shed=%d stalled=%d\n",
 			len(lu.FallbackPanels()), st.Retries, st.Shed, st.Stalled)
@@ -118,28 +116,28 @@ func main() {
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
 		tslu.ApplyPivots(pa, sw, 0)
-		report = verify(a, pa, orig)
+		report = stability.LUMetrics(a, pa, orig)
 	case "getrf":
 		ipiv := make([]int, min(*m, *n))
 		fail(lapack.GETRF(a, ipiv, *b))
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
 		lapack.LASWP(pa, ipiv, 0, len(ipiv))
-		report = verify(a, pa, orig)
+		report = stability.LUMetrics(a, pa, orig)
 	case "pgetrf":
 		ipiv := make([]int, min(*m, *n))
 		fail(lapack.PGETRF(a, ipiv, *b, *workers))
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
 		lapack.LASWP(pa, ipiv, 0, len(ipiv))
-		report = verify(a, pa, orig)
+		report = stability.LUMetrics(a, pa, orig)
 	case "getf2":
 		ipiv := make([]int, min(*m, *n))
 		fail(lapack.GETF2(a, ipiv))
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
 		lapack.LASWP(pa, ipiv, 0, len(ipiv))
-		report = verify(a, pa, orig)
+		report = stability.LUMetrics(a, pa, orig)
 	case "tiled":
 		if *m != *n {
 			fmt.Fprintln(os.Stderr, "tiled verification requires a square matrix")
@@ -161,23 +159,6 @@ func main() {
 	}
 	fmt.Printf("residual:     %.3g\n", report.Residual)
 	fmt.Printf("growth:       %.3g\n", report.Growth)
-}
-
-func verify(fac, pa, orig *matrix.Dense) stability.LUReport {
-	l, u := lapack.ExtractLU(fac)
-	prod := blas.Mul(blas.NoTrans, blas.NoTrans, l, u)
-	diff := 0.0
-	for j := 0; j < pa.Cols; j++ {
-		x, y := pa.Col(j), prod.Col(j)
-		for i := range x {
-			d := x[i] - y[i]
-			diff += d * d
-		}
-	}
-	return stability.LUReport{
-		Growth:   lapack.GrowthFactor(fac, orig),
-		Residual: math.Sqrt(diff) / (orig.NormFrobenius() + 1e-300),
-	}
 }
 
 func elapsedReport(start time.Time, m, n int) {

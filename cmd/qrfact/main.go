@@ -105,7 +105,11 @@ func main() {
 		elapsedReport(start, *m, *n)
 		q, r = lapack.ORGQR(a, tau, min(*m, *n)), lapack.ExtractR(a)
 	case "tiled":
-		res := tiled.GEQRF(a, tiled.Options{TileSize: *tile, Workers: *workers})
+		res, err := tiled.GEQRF(a, tiled.Options{TileSize: *tile, Workers: *workers})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "factorization:", err)
+			os.Exit(1)
+		}
 		elapsedReport(start, *m, *n)
 		q, r = res.ExplicitQ(), res.R()
 	default:

@@ -17,9 +17,9 @@
 //	x := qr.LeastSquares(rhs)                            // min ||A x - rhs||
 //
 // Options control the paper's tuning knobs: panel block size b, panel
-// parallelism Tr, reduction tree shape, worker count and look-ahead. The
-// zero Options value picks the paper's defaults (b = min(100, n), Tr =
-// Workers = GOMAXPROCS, binary tree, look-ahead on).
+// parallelism Tr, reduction tree shape and worker count. The zero Options
+// value picks the paper's defaults (b = min(100, n), Tr = Workers =
+// GOMAXPROCS, binary tree). Look-ahead priorities are always on.
 //
 // A long-lived service should hold an Engine instead of calling LU/QR
 // directly: NewEngine starts one persistent worker pool, every
@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/mixed"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tslu"
@@ -93,9 +92,6 @@ type Options struct {
 	Tree Tree
 	// Workers is the number of scheduler goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// NoLookahead disables the look-ahead priority scheme (for study; the
-	// paper's configuration keeps it on).
-	NoLookahead bool
 	// StructuredTree switches CAQR's tree merges to the structured
 	// triangle-on-triangle kernel (faster; same R up to rounding).
 	StructuredTree bool
@@ -133,7 +129,7 @@ func (o Options) internal() core.Options {
 		PanelThreads:    tr,
 		Tree:            tslu.Tree(o.Tree),
 		Workers:         workers,
-		Lookahead:       !o.NoLookahead,
+		Lookahead:       true,
 		StructuredTree:  o.StructuredTree,
 		GrowthThreshold: o.GrowthThreshold,
 		Trace:           o.Trace,
@@ -351,17 +347,6 @@ func (f *LUFactorization) SolveRefined(orig, rhs *Matrix, iters int) float64 {
 // Inverse forms A^{-1} from the factorization. Prefer Solve where possible:
 // the explicit inverse costs an extra n^3 flops and is less accurate.
 func (f *LUFactorization) Inverse() *Matrix { return f.res.Inverse() }
-
-// SolveMixed solves A*x = rhs (single right-hand side) using a float32
-// factorization refined to float64 accuracy — roughly twice the kernel
-// throughput when it converges (condition number below ~10^7). rhs is
-// overwritten with x; the returned count is the number of refinement
-// iterations. Fails with an error for ill-conditioned systems, in which
-// case use LU + Solve.
-func SolveMixed(a, rhs *Matrix, maxIter int) (int, error) {
-	res, err := mixed.Solve(a, rhs, maxIter)
-	return res.Iterations, err
-}
 
 // PermutationVector returns the factorization's row permutation as an
 // explicit vector p, where row i of the factored matrix corresponds to row

@@ -227,33 +227,6 @@ func TestConditionAndRefinementPublicAPI(t *testing.T) {
 	}
 }
 
-func TestSolveMixedPublicAPI(t *testing.T) {
-	n := 60
-	a := factor.Random(n, n, 31)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	xWant := factor.Random(n, 1, 32)
-	rhs := factor.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += a.At(i, j) * xWant.At(j, 0)
-		}
-		rhs.Set(i, 0, s)
-	}
-	iters, err := factor.SolveMixed(a, rhs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters < 1 || iters > 6 {
-		t.Fatalf("iterations = %d", iters)
-	}
-	if !rhs.EqualApprox(xWant, 1e-11) {
-		t.Fatal("mixed solve inaccurate")
-	}
-}
-
 func TestPermutationVector(t *testing.T) {
 	n := 24
 	orig := factor.Random(n, n, 41)

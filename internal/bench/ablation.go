@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/simsched"
 	"repro/internal/tslu"
 )
 
@@ -165,43 +163,12 @@ func ablationTr(cfg Config) *Table {
 	return t
 }
 
-// ablationSync counts the synchronization structure: dependency edges and
-// critical-path task count, the communication-avoiding metric itself.
-func ablationSync(cfg Config) *Table {
-	t := &Table{
-		ID:       "ablation-sync",
-		Title:    "Synchronization structure: CALU vs fork-join vendor model",
-		PaperRef: "Sections I-II",
-		Unit:     "count",
-		Columns:  []string{"CALU-tasks", "CALU-edges", "vendor-tasks", "vendor-edges"},
-	}
-	for _, s := range ablationShapes(cfg) {
-		progress(cfg, "ablation-sync: %s", s.label)
-		opt := core.Options{BlockSize: paperB(s.n), PanelThreads: 8, Lookahead: true}
-		g := core.BuildCALUGraph(s.m, s.n, opt)
-		vg := baseline.BuildGETRFGraph(s.m, s.n, vendorNB, 8)
-		t.Rows = append(t.Rows, RowData{Label: s.label, Values: map[string]float64{
-			"CALU-tasks":   float64(g.Len()),
-			"CALU-edges":   float64(g.Edges()),
-			"vendor-tasks": float64(vg.Len()),
-			"vendor-edges": float64(vg.Edges()),
-		}})
-	}
-	t.Notes = "CALU trades a few extra tournament tasks per panel for the removal of the per-column synchronization inside the panel (O(log Tr) rounds instead of O(b) pivot broadcasts)."
-	return t
-}
-
-// simsched import is exercised via caluModelGF/caqrModelGF; keep the
-// explicit reference for the sync ablation builds too.
-var _ = simsched.Run
-
 func init() {
 	register(Experiment{ID: "ablation-tree", Title: "binary vs flat reduction tree", PaperRef: "Sections II-III", Run: ablationTree})
 	register(Experiment{ID: "ablation-lookahead", Title: "look-ahead priorities on/off", PaperRef: "Section III", Run: ablationLookahead})
 	register(Experiment{ID: "ablation-blocksize", Title: "panel block size sweep", PaperRef: "Section IV", Run: ablationBlockSize})
 	register(Experiment{ID: "ablation-twolevel", Title: "two-level trailing blocking (future work)", PaperRef: "Section V", Run: ablationTwoLevel})
 	register(Experiment{ID: "ablation-tr", Title: "panel parallelism sweep", PaperRef: "Figures 3-6", Run: ablationTr})
-	register(Experiment{ID: "ablation-sync", Title: "synchronization structure counts", PaperRef: "Sections I-II", Run: ablationSync})
 }
 
 // ablationStructured models the CAQR improvement the paper's conclusion

@@ -70,7 +70,11 @@ func qrRowMeasured(m, n, workers int) map[string]float64 {
 	}
 	{
 		a := orig.Clone()
-		secs := timeIt(func() { tiled.GEQRF(a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}) })
+		secs := timeIt(func() {
+			if _, err := tiled.GEQRF(a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}); err != nil {
+				panic(err)
+			}
+		})
 		vals["PLASMA"] = gflops(canon, secs)
 	}
 	return vals
@@ -158,7 +162,11 @@ func init() {
 					}
 					{
 						a := orig.Clone()
-						secs := timeIt(func() { tiled.GEQRF(a, tiled.Options{TileSize: 64, Workers: workers}) })
+						secs := timeIt(func() {
+							if _, err := tiled.GEQRF(a, tiled.Options{TileSize: 64, Workers: workers}); err != nil {
+								panic(err)
+							}
+						})
 						vals["PLASMA"] = gflops(canon, secs)
 					}
 					for _, tr := range trs {

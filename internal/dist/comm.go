@@ -85,15 +85,6 @@ func (w *World) TotalMessages() int64 {
 	return t
 }
 
-// TotalWords returns the word volume across all ranks.
-func (w *World) TotalWords() int64 {
-	t := int64(0)
-	for r := 0; r < w.size; r++ {
-		t += w.WordsSent(r)
-	}
-	return t
-}
-
 // MaxMessagesPerRank returns the maximum per-rank message count — the
 // quantity the communication lower bounds are stated in.
 func (w *World) MaxMessagesPerRank() int64 {

@@ -288,8 +288,8 @@ func GrowthFactor(lu *matrix.Dense, orig *matrix.Dense) float64 {
 
 // MaxUpper returns max|U|: the largest magnitude on or above the diagonal
 // of an in-place LU factor. It is the single source of the numerator in
-// every growth computation — GrowthFactor, stability.Growth and the CALU
-// runtime guardrail all divide it by a max|A|.
+// every growth computation — GrowthFactor and the CALU runtime guardrail
+// both divide it by a max|A|.
 func MaxUpper(lu *matrix.Dense) float64 {
 	k := min(lu.Rows, lu.Cols)
 	maxU := 0.0

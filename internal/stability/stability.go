@@ -37,7 +37,7 @@ func MeasureGEPP(a *matrix.Dense) LUReport {
 	_ = lapack.GETF2(lu, ipiv)
 	pa := a.Clone()
 	lapack.LASWP(pa, ipiv, 0, len(ipiv))
-	return luMetrics(lu, pa, a)
+	return LUMetrics(lu, pa, a)
 }
 
 // MeasureCALU factors a copy of a with CALU (tournament pivoting) and
@@ -50,7 +50,7 @@ func MeasureCALU(a *matrix.Dense, opt core.Options) (LUReport, error) {
 	}
 	pa := a.Clone()
 	res.ApplyPerm(pa)
-	return luMetrics(lu, pa, a), nil
+	return LUMetrics(lu, pa, a), nil
 }
 
 // MeasureTSLU factors a copy of the panel with standalone TSLU.
@@ -62,12 +62,12 @@ func MeasureTSLU(a *matrix.Dense, tr int, tree tslu.Tree) (LUReport, error) {
 	}
 	pa := a.Clone()
 	tslu.ApplyPivots(pa, sw, 0)
-	return luMetrics(lu, pa, a), nil
+	return LUMetrics(lu, pa, a), nil
 }
 
-// luMetrics computes growth and residual from an in-place factor, the
+// LUMetrics computes growth and residual from an in-place factor, the
 // permuted original, and the original.
-func luMetrics(lu, pa, orig *matrix.Dense) LUReport {
+func LUMetrics(lu, pa, orig *matrix.Dense) LUReport {
 	l, u := lapack.ExtractLU(lu)
 	prod := blas.Mul(blas.NoTrans, blas.NoTrans, l, u)
 	diff := 0.0
@@ -82,26 +82,6 @@ func luMetrics(lu, pa, orig *matrix.Dense) LUReport {
 		Growth:   lapack.GrowthFactor(lu, orig),
 		Residual: math.Sqrt(diff) / (orig.NormFrobenius() + 1e-300),
 	}
-}
-
-// Growth returns the element growth factor max|U| / max|A| of an in-place
-// LU factor against the original matrix. It is lapack.GrowthFactor under a
-// stability-centric name, shared by the post-hoc measurements here and by
-// tests that previously open-coded the upper-triangle max.
-func Growth(lu, orig *matrix.Dense) float64 {
-	return lapack.GrowthFactor(lu, orig)
-}
-
-// GrowthExceeded reports whether the factorization's element growth
-// max|U| / max|A| exceeds threshold. A threshold <= 0 means "no limit" and
-// always reports false — the same convention core.Options.GrowthThreshold
-// uses to disable CALU's runtime guardrail, so post-hoc checks and the
-// online monitor agree on what a given threshold means.
-func GrowthExceeded(lu, orig *matrix.Dense, threshold float64) bool {
-	if threshold <= 0 {
-		return false
-	}
-	return Growth(lu, orig) > threshold
 }
 
 // SolveError factors a (square) with the given factor-and-solve closure and

@@ -113,7 +113,7 @@ func TestIncrementalPivotingGrowthComparison(t *testing.T) {
 	}
 	// Tiled LU has no global P, so growth comes straight from its in-place
 	// U against the original — the shared helper, not a hand-rolled loop.
-	tiledGrowth := Growth(lu.A, a)
+	tiledGrowth := lapack.GrowthFactor(lu.A, a)
 	t.Logf("growth: GEPP %.3g  CALU %.3g  tiled %.3g", ref.Growth, calu.Growth, tiledGrowth)
 	if calu.Growth > 50*ref.Growth+10 {
 		t.Errorf("CALU growth %g far from GEPP %g", calu.Growth, ref.Growth)
@@ -122,33 +122,6 @@ func TestIncrementalPivotingGrowthComparison(t *testing.T) {
 	// but it must at least be finite/sane.
 	if math.IsNaN(tiledGrowth) || tiledGrowth > 1e8 {
 		t.Errorf("tiled growth %g unreasonable", tiledGrowth)
-	}
-}
-
-// TestGrowthExceeded pins the helper's contract: it agrees with the
-// measured growth factor, and a threshold <= 0 disables the check (the
-// same convention as core.Options.GrowthThreshold).
-func TestGrowthExceeded(t *testing.T) {
-	a := matrix.Random(64, 64, 13)
-	lu := a.Clone()
-	ipiv := make([]int, 64)
-	if err := lapack.GETF2(lu, ipiv); err != nil {
-		t.Fatal(err)
-	}
-	g := Growth(lu, a)
-	if g < 1 {
-		t.Fatalf("GEPP growth %g < 1", g)
-	}
-	if !GrowthExceeded(lu, a, g/2) {
-		t.Errorf("threshold %g below growth %g not exceeded", g/2, g)
-	}
-	if GrowthExceeded(lu, a, 2*g) {
-		t.Errorf("threshold %g above growth %g exceeded", 2*g, g)
-	}
-	for _, off := range []float64{0, -1} {
-		if GrowthExceeded(lu, a, off) {
-			t.Errorf("threshold %g should disable the check", off)
-		}
 	}
 }
 

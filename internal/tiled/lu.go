@@ -42,8 +42,6 @@ type LU struct {
 	// A holds the factored tiles: U in the upper triangle (genuinely upper
 	// triangular), tile L factors below.
 	A *matrix.Dense
-	// Events is the execution trace, non-nil only when Options.Trace is set.
-	Events []sched.Event
 	// Graph is the executed task graph.
 	Graph *sched.Graph
 
@@ -59,12 +57,10 @@ func GETRF(a *matrix.Dense, opt Options) (*LU, error) {
 	opt.normalize(a.Cols)
 	panicIf(a.Rows < a.Cols, "tiled: GETRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &LU{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
-	g := buildLUGraph(res.g, res)
-	events, err := run(g, opt)
-	if err != nil {
+	res.Graph = buildLUGraph(res.g, res)
+	if err := run(res.Graph, opt); err != nil {
 		return nil, err
 	}
-	res.Events, res.Graph = events, g
 	return res, res.err
 }
 

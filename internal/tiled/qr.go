@@ -25,8 +25,6 @@ type qrOp struct {
 type QR struct {
 	// A holds R in its upper triangle; the tiles below hold reflector data.
 	A *matrix.Dense
-	// Events is the execution trace, non-nil only when Options.Trace is set.
-	Events []sched.Event
 	// Graph is the executed task graph.
 	Graph *sched.Graph
 
@@ -35,18 +33,17 @@ type QR struct {
 }
 
 // GEQRF computes the tiled QR factorization of the m x n matrix a (m >= n),
-// in place — the PLASMA_dgeqrf stand-in.
-func GEQRF(a *matrix.Dense, opt Options) *QR {
+// in place — the PLASMA_dgeqrf stand-in. The error is that of a failed
+// task.
+func GEQRF(a *matrix.Dense, opt Options) (*QR, error) {
 	opt.normalize(a.Cols)
 	panicIf(a.Rows < a.Cols, "tiled: GEQRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &QR{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
-	g := buildQRGraph(res.g, res)
-	events, err := run(g, opt)
-	if err != nil {
-		panic(err) // only a kernel bug fails a task; GEQRF reports no errors
+	res.Graph = buildQRGraph(res.g, res)
+	if err := run(res.Graph, opt); err != nil {
+		return nil, err
 	}
-	res.Events, res.Graph = events, g
-	return res
+	return res, nil
 }
 
 // BuildGEQRFGraph constructs the tiled-QR task graph unbound for

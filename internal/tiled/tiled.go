@@ -37,8 +37,6 @@ type Options struct {
 	TileSize int
 	// Workers is the number of scheduler goroutines.
 	Workers int
-	// Trace records per-task execution events.
-	Trace bool
 }
 
 func (o *Options) normalize(n int) {
@@ -102,15 +100,16 @@ func fcube(n int) float64 {
 }
 
 // run executes a bound graph on a private pool of opt.Workers goroutines,
-// returning the trace (nil unless opt.Trace) and the error of a failed task.
-func run(g *sched.Graph, opt Options) ([]sched.Event, error) {
+// returning the error of a failed task.
+func run(g *sched.Graph, opt Options) error {
 	pool := sched.NewPool(opt.Workers)
 	defer pool.Close()
-	sub, err := pool.Submit(g, sched.SubmitOptions{Trace: opt.Trace})
+	sub, err := pool.Submit(g, sched.SubmitOptions{})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return sub.Wait()
+	_, err = sub.Wait()
+	return err
 }
 
 func panicIf(cond bool, format string, args ...any) {

@@ -103,7 +103,10 @@ func TestTiledQRFactors(t *testing.T) {
 		{24, 24, 8, 1}, {24, 24, 8, 4}, {40, 16, 8, 2}, {30, 10, 7, 3}, {64, 8, 8, 4},
 	} {
 		orig := matrix.Random(tc.m, tc.n, int64(tc.m*13+tc.tile))
-		qr := GEQRF(orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
+		qr, err := GEQRF(orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
 		q := qr.ExplicitQ()
 		r := qr.R()
 		qtq := blas.Mul(blas.Trans, blas.NoTrans, q, q)
@@ -125,7 +128,10 @@ func TestTiledQRLeastSquares(t *testing.T) {
 	a := matrix.Random(m, n, 17)
 	xWant := matrix.Random(n, 1, 18)
 	rhs := blas.Mul(blas.NoTrans, blas.NoTrans, a, xWant)
-	qr := GEQRF(a.Clone(), Options{TileSize: 8, Workers: 3})
+	qr, err := GEQRF(a.Clone(), Options{TileSize: 8, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := qr.LeastSquares(rhs)
 	if !x.EqualApprox(xWant, 1e-8) {
 		t.Fatal("wrong least-squares solution")
@@ -137,7 +143,9 @@ func TestTiledQRDeterministicAcrossWorkers(t *testing.T) {
 	var ref *matrix.Dense
 	for _, w := range []int{1, 2, 4} {
 		a := orig.Clone()
-		GEQRF(a, Options{TileSize: 8, Workers: w})
+		if _, err := GEQRF(a, Options{TileSize: 8, Workers: w}); err != nil {
+			t.Fatal(err)
+		}
 		if ref == nil {
 			ref = a
 		} else if !a.Equal(ref) {
@@ -192,7 +200,11 @@ func TestTiledQRGramProperty(t *testing.T) {
 		tile := int(tileRaw)%10 + 2
 		workers := int(wRaw)%4 + 1
 		orig := matrix.Random(m, n, seed)
-		qr := GEQRF(orig.Clone(), Options{TileSize: tile, Workers: workers})
+		qr, err := GEQRF(orig.Clone(), Options{TileSize: tile, Workers: workers})
+		if err != nil {
+			t.Error(err)
+			return false
+		}
 		r := qr.R()
 		ata := blas.Mul(blas.Trans, blas.NoTrans, orig, orig)
 		rtr := blas.Mul(blas.Trans, blas.NoTrans, r, r)
@@ -258,7 +270,10 @@ func TestTiledGraphBoundMatchesUnbound(t *testing.T) {
 		t.Fatalf("LU graphs differ: %d/%d vs %d/%d",
 			lu.Graph.Len(), lu.Graph.Edges(), gLU.Len(), gLU.Edges())
 	}
-	qr := GEQRF(a.Clone(), opt)
+	qr, err := GEQRF(a.Clone(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gQR := BuildGEQRFGraph(40, 24, opt)
 	if qr.Graph.Len() != gQR.Len() || qr.Graph.Edges() != gQR.Edges() {
 		t.Fatalf("QR graphs differ: %d/%d vs %d/%d",

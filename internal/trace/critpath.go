@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/sched"
@@ -190,17 +189,4 @@ func (cp *CriticalPath) IdleTotal() float64 {
 		total += d
 	}
 	return total
-}
-
-// SortedKinds returns the kinds present in either attribution map, in
-// canonical P/L/U/S order, for deterministic iteration by callers.
-func (cp *CriticalPath) SortedKinds() []sched.Kind {
-	var ks []sched.Kind
-	for _, k := range kindOrder {
-		if cp.OnPath[k] != 0 || cp.OffPath[k] != 0 {
-			ks = append(ks, k)
-		}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
