@@ -32,16 +32,19 @@ func main() {
 
 	type result struct {
 		b, tr int
-		tree  factor.Tree
+		tree  string
 		gf    float64
 	}
 	var best result
 
-	trees := map[factor.Tree]string{factor.Binary: "binary", factor.Flat: "flat", factor.Hybrid: "hybrid"}
+	trees := []struct {
+		tree factor.Tree
+		name string
+	}{{factor.Binary, "binary"}, {factor.Flat, "flat"}, {factor.Hybrid, "hybrid"}}
 	fmt.Printf("%-8s %-4s %-8s %10s\n", "tree", "Tr", "b", "GFlop/s")
-	for tree, name := range trees {
+	for _, t := range trees {
 		for _, tr := range []int{1, 2, 4, 8} {
-			if tr > 1 && tree == factor.Binary && tr > 2*workers {
+			if tr > 1 && t.tree == factor.Binary && tr > 2*workers {
 				continue
 			}
 			for _, b := range []int{50, 100, 200} {
@@ -49,21 +52,21 @@ func main() {
 					continue
 				}
 				a := orig.Clone()
-				opt := factor.Options{BlockSize: b, PanelThreads: tr, Tree: tree, Workers: workers}
+				opt := factor.Options{BlockSize: b, PanelThreads: tr, Tree: t.tree, Workers: workers}
 				start := time.Now()
 				if _, err := factor.LU(a, opt); err != nil {
 					panic(err)
 				}
 				gf := flops / time.Since(start).Seconds() / 1e9
-				fmt.Printf("%-8s %-4d %-8d %10.2f\n", name, tr, b, gf)
+				fmt.Printf("%-8s %-4d %-8d %10.2f\n", t.name, tr, b, gf)
 				if gf > best.gf {
-					best = result{b: b, tr: tr, tree: tree, gf: gf}
+					best = result{b: b, tr: tr, tree: t.name, gf: gf}
 				}
 			}
 		}
 	}
 	fmt.Printf("\nbest: tree=%s Tr=%d b=%d at %.2f GFlop/s\n",
-		trees[best.tree], best.tr, best.b, best.gf)
+		best.tree, best.tr, best.b, best.gf)
 	fmt.Println("\nExpected pattern (paper Section IV): on a tall-skinny shape the")
 	fmt.Println("optimum sits at Tr = cores; on squares, Tr = 2-4 with larger b.")
 }

@@ -9,21 +9,24 @@
 //     machine models (package simsched + machine). Deterministic, fast, and
 //     structurally faithful: the graphs are produced by the same builders
 //     the real code uses.
-//   - Measured: the real numeric factorizations run on scaled-down sizes
-//     and are wall-clock timed. Useful to validate the implementations
-//     end-to-end on the reproduction host; absolute numbers depend on the
-//     host and on GOMAXPROCS.
+//   - Measured: the real numeric factorizations of Figs. 3-8 and Tables
+//     I-III run on scaled-down sizes and are wall-clock timed. Useful to
+//     validate the implementations end-to-end on the reproduction host;
+//     absolute numbers depend on the host and on GOMAXPROCS. The ablations,
+//     scaling and comm stay modeled at reduced shapes, parity ignores the
+//     mode, and stability, dist and ooc keep their method at reduced sizes.
 //
-// The output tables print GFlop/s computed against canonical flop counts,
-// exactly as the paper reports.
+// The GFlop/s comparisons share one catalogue of the compared algorithms
+// (catalogue.go): each is defined once by its task graph, its real run and
+// its canonical flop count, which the tables report GFlop/s against,
+// exactly as the paper does.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"runtime"
 	"strings"
-	"time"
 )
 
 // Mode selects how an experiment obtains its numbers.
@@ -132,9 +135,31 @@ type Experiment struct {
 	Run func(cfg Config) *Table
 }
 
-var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
+// registry lists the experiments in report order.
+var registry = []Experiment{
+	{ID: "ablation-tree", Title: "binary vs flat reduction tree", PaperRef: "Sections II-III", Run: ablationTree},
+	{ID: "ablation-lookahead", Title: "look-ahead priorities on/off", PaperRef: "Section III", Run: ablationLookahead},
+	{ID: "ablation-blocksize", Title: "panel block size sweep", PaperRef: "Section IV", Run: ablationBlockSize},
+	{ID: "ablation-twolevel", Title: "two-level trailing blocking (future work)", PaperRef: "Section V", Run: ablationTwoLevel},
+	{ID: "ablation-tr", Title: "panel parallelism sweep", PaperRef: "Figures 3-6", Run: ablationTr},
+	{ID: "ablation-structured", Title: "CAQR dense vs structured tree kernels", PaperRef: "Section V", Run: ablationStructured},
+	{ID: "comm", Title: "synchronization structure and critical paths", PaperRef: "Sections I-II", Run: commExperiment},
+	{ID: "dist", Title: "distributed-memory message counts", PaperRef: "Section II", Run: distExperiment},
+	fig5.experiment(),
+	fig6.experiment(),
+	fig7.experiment(),
+	table1.experiment(),
+	table2.experiment(),
+	{ID: "ooc", Title: "sequential memory-hierarchy traffic", PaperRef: "Section II", Run: oocExperiment},
+	{ID: "scaling", Title: "strong scaling across virtual cores", PaperRef: "Sections III-IV", Run: scalingExperiment},
+	{ID: "parity", Title: "model vs published numbers, side by side", PaperRef: "Tables I-III", Run: parityExperiment},
+	fig8.experiment(),
+	table3.experiment(),
+	{ID: "stability", Title: "ca-pivoting stability vs GEPP and incremental pivoting", PaperRef: "Section II", Run: stabilityExperiment},
+	{ID: "stability-sweep", Title: "growth-factor distributions, GEPP vs CALU", PaperRef: "Section II", Run: stabilitySweep},
+	{ID: "fig3", Title: "CALU trace with Tr=1: panel-induced idle time", PaperRef: "Figure 3", Run: func(cfg Config) *Table { return traceExperiment(cfg, "fig3", 1) }},
+	{ID: "fig4", Title: "CALU trace with Tr=8: parallel panel removes idle time", PaperRef: "Figure 4", Run: func(cfg Config) *Table { return traceExperiment(cfg, "fig4", 8) }},
+}
 
 // Experiments lists all registered experiments in registration order.
 func Experiments() []Experiment {
@@ -153,14 +178,11 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment IDs, sorted.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for _, e := range registry {
-		ids = append(ids, e.ID)
+func workersOrCPU(cfg Config) int {
+	if cfg.Workers > 0 {
+		return cfg.Workers
 	}
-	sort.Strings(ids)
-	return ids
+	return runtime.NumCPU()
 }
 
 // progress emits a progress line when cfg.Verbose is set.
@@ -170,29 +192,12 @@ func progress(cfg Config, format string, args ...any) {
 	}
 }
 
-// timeIt runs f and returns elapsed seconds.
-func timeIt(f func()) float64 {
-	start := time.Now()
-	f()
-	return time.Since(start).Seconds()
-}
-
 // gflops converts canonical flops and seconds to GFlop/s.
 func gflops(canonical, seconds float64) float64 {
 	if seconds <= 0 {
 		return 0
 	}
 	return canonical / seconds / 1e9
-}
-
-// rowLabel formats an m x n size label.
-func rowLabel(m, n int) string {
-	return fmt.Sprintf("%dx%d", m, n)
-}
-
-// joinNotes concatenates note fragments.
-func joinNotes(parts ...string) string {
-	return strings.Join(parts, "\n")
 }
 
 // WriteCSV emits the table as CSV (label plus one column per series).

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/matrix"
 )
 
 // get returns the value of column c in the row labeled label.
@@ -43,8 +47,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("missing experiment %q", id)
 		}
 	}
-	if len(IDs()) < len(want) {
-		t.Errorf("registry has %d experiments, want >= %d", len(IDs()), len(want))
+	if len(Experiments()) < len(want) {
+		t.Errorf("registry has %d experiments, want >= %d", len(Experiments()), len(want))
 	}
 }
 
@@ -327,6 +331,27 @@ func TestMeasuredModeSmoke(t *testing.T) {
 		tb := e.Run(Config{Mode: Measured, Workers: 2})
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s measured: empty table", id)
+		}
+	}
+}
+
+// TestCatalogueMeasuredRuns runs every catalogue entry's measured run once
+// on a small tall and a small square input, under the host configuration
+// the measured fig5-fig8 and table1-table3 use.
+func TestCatalogueMeasuredRuns(t *testing.T) {
+	host := platform{cores: 2, vendorCores: 2}
+	for _, e := range []alg{calu(2), caqr(2), tsqr, getrf, getf2, geqrf, geqr2, plasmaLU, plasmaQR} {
+		for _, a := range []*matrix.Dense{matrix.Random(600, 40, 1), matrix.Random(128, 128, 2)} {
+			if err := e.run(a, host); err != nil {
+				t.Errorf("%s on %dx%d: %v", e.col, a.Rows, a.Cols, err)
+				continue
+			}
+			for j := 0; j < a.Cols; j++ {
+				if i := slices.IndexFunc(a.Col(j), func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }); i >= 0 {
+					t.Errorf("%s on %dx%d: non-finite entry %g at (%d, %d)", e.col, a.Rows, a.Cols, a.At(i, j), i, j)
+					break
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/tslu"
 )
@@ -72,14 +70,12 @@ func commExperiment(cfg Config) *Table {
 			"span-Mflops-CALU", "span-Mflops-vendor", "parallelism-CALU", "parallelism-vendor",
 		},
 	}
-	for _, s := range ablationShapes(cfg) {
-		progress(cfg, "comm: %s", s.label)
-		b := paperB(s.n)
-		caluM := analyze(core.BuildCALUGraph(s.m, s.n, core.Options{
-			BlockSize: b, PanelThreads: 8, Lookahead: true,
-		}))
-		vendorM := analyze(baseline.BuildGETRFGraph(s.m, s.n, vendorNB, 8))
-		t.Rows = append(t.Rows, RowData{Label: s.label, Values: map[string]float64{
+	for _, r := range ablationRows(cfg) {
+		progress(cfg, "comm: %s", r.label)
+		b := min(100, r.n) // the paper's panel width
+		caluM := analyze(calu(8).graph(r.m, r.n, r.on))
+		vendorM := analyze(getrf.graph(r.m, r.n, r.on))
+		t.Rows = append(t.Rows, RowData{Label: r.label, Values: map[string]float64{
 			"panel-syncs-classic": float64(panelSyncs(b, 8, tslu.Binary, true)),
 			"panel-syncs-binary":  float64(panelSyncs(b, 8, tslu.Binary, false)),
 			"panel-syncs-flat":    float64(panelSyncs(b, 8, tslu.Flat, false)),
@@ -96,13 +92,4 @@ func commExperiment(cfg Config) *Table {
 	}
 	t.Notes = "Panel syncs: classic GEPP synchronizes once per column (b); ca-pivoting once per tree level (log2 Tr binary, 1 flat). CALU trades a few extra tournament tasks per panel for removing the per-column synchronization inside the panel. Tasks, edges, span and parallelism come from the actual task graphs (Brent bound)."
 	return t
-}
-
-func init() {
-	register(Experiment{
-		ID:       "comm",
-		Title:    "synchronization structure and critical paths",
-		PaperRef: "Sections I-II",
-		Run:      commExperiment,
-	})
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"repro/internal/dist"
 	"repro/internal/matrix"
 )
@@ -46,20 +48,11 @@ func distExperiment(cfg Config) *Table {
 		dist.CAQR(wQRF, matrix.Random(m, nFull, int64(p+2)), b)
 		fullQR := float64(wQRF.MaxMessagesPerRank()) / float64(nFull/b)
 
-		t.Rows = append(t.Rows, RowData{Label: "P=" + itoa(p), Values: map[string]float64{
+		t.Rows = append(t.Rows, RowData{Label: fmt.Sprintf("P=%d", p), Values: map[string]float64{
 			"TSLU": ca, "TSQR": qr, "GEPP": pp, "GEPP/TSLU": pp / ca,
 			"CALU/panel": fullLU, "CAQR/panel": fullQR,
 		}})
 	}
-	t.Notes = "Counts are real messages sent on the simulated network for one m x b panel (b=" + itoa(b) + "). TSLU/TSQR pay O(log P): tree sends plus broadcast forwards. GEPP pays O(b log P): a max-reduction and pivot-row broadcast per column. CALU/panel and CAQR/panel are the full distributed factorizations amortized per panel (CALU: tournament + row swaps + composite/U-row broadcasts; CAQR: tree edges each shipping an R triangle and a trailing carrier block)."
+	t.Notes = fmt.Sprintf("Counts are real messages sent on the simulated network for one m x b panel (b=%d). TSLU/TSQR pay O(log P): tree sends plus broadcast forwards. GEPP pays O(b log P): a max-reduction and pivot-row broadcast per column. CALU/panel and CAQR/panel are the full distributed factorizations amortized per panel (CALU: tournament + row swaps + composite/U-row broadcasts; CAQR: tree edges each shipping an R triangle and a trailing carrier block).", b)
 	return t
-}
-
-func init() {
-	register(Experiment{
-		ID:       "dist",
-		Title:    "distributed-memory message counts (Section II)",
-		PaperRef: "Section II",
-		Run:      distExperiment,
-	})
 }

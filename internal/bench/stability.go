@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -66,15 +67,6 @@ func stabilityExperiment(cfg Config) *Table {
 	return t
 }
 
-func init() {
-	register(Experiment{
-		ID:       "stability",
-		Title:    "ca-pivoting stability vs GEPP and incremental pivoting",
-		PaperRef: "Section II",
-		Run:      stabilityExperiment,
-	})
-}
-
 // stabilitySweep reproduces the experimental methodology behind the
 // paper's stability citation [12] (Grigori, Demmel, Xiang): many random
 // samples, comparing the distribution of growth factors between partial
@@ -109,7 +101,7 @@ func stabilitySweep(cfg Config) *Table {
 			geppMax = math.Max(geppMax, ref.Growth)
 			caluMax = math.Max(caluMax, got.Growth)
 		}
-		t.Rows = append(t.Rows, RowData{Label: "Tr=" + itoa(tr), Values: map[string]float64{
+		t.Rows = append(t.Rows, RowData{Label: fmt.Sprintf("Tr=%d", tr), Values: map[string]float64{
 			"GEPP-mean":  geppSum / float64(samples),
 			"GEPP-max":   geppMax,
 			"CALU-mean":  caluSum / float64(samples),
@@ -119,13 +111,4 @@ func stabilitySweep(cfg Config) *Table {
 	}
 	t.Notes = "Tournament pivoting's growth stays within a small constant of partial pivoting's across the whole Tr range — the paper's 'as stable in practice' claim, sampled."
 	return t
-}
-
-func init() {
-	register(Experiment{
-		ID:       "stability-sweep",
-		Title:    "growth-factor distributions, GEPP vs CALU",
-		PaperRef: "Section II",
-		Run:      stabilitySweep,
-	})
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/simsched"
@@ -26,11 +25,9 @@ func traceExperiment(cfg Config, id string, tr int) *Table {
 	var tra *trace.Trace
 	if cfg.Mode == Modeled {
 		progress(cfg, "%s: simulating CALU trace Tr=%d", id, tr)
-		mach := machine.Intel8()
-		opt := core.Options{BlockSize: 100, PanelThreads: tr, Lookahead: true}
-		g := core.BuildCALUGraph(100000, 1000, opt)
-		res := simsched.Run(g, mach)
-		tra = trace.FromSim(res.Events, g, mach.Cores)
+		g := calu(tr).graph(100000, 1000, intel)
+		res := simsched.Run(g, intel.mach)
+		tra = trace.FromSim(res.Events, g, intel.cores)
 	} else {
 		progress(cfg, "%s: measuring CALU trace Tr=%d", id, tr)
 		workers := workersOrCPU(cfg)
@@ -52,23 +49,6 @@ func traceExperiment(cfg Config, id string, tr int) *Table {
 	}})
 	var gantt strings.Builder
 	tra.Gantt(&gantt, 100)
-	t.Notes = joinNotes(
-		"P = panel/tournament tasks, L = panel L blocks, U = pivoting + U row, S = trailing update, '.' = idle:",
-		gantt.String())
+	t.Notes = "P = panel/tournament tasks, L = panel L blocks, U = pivoting + U row, S = trailing update, '.' = idle:\n" + gantt.String()
 	return t
-}
-
-func init() {
-	register(Experiment{
-		ID:       "fig3",
-		Title:    "CALU trace with Tr=1: panel-induced idle time",
-		PaperRef: "Figure 3",
-		Run:      func(cfg Config) *Table { return traceExperiment(cfg, "fig3", 1) },
-	})
-	register(Experiment{
-		ID:       "fig4",
-		Title:    "CALU trace with Tr=8: parallel panel removes idle time",
-		PaperRef: "Figure 4",
-		Run:      func(cfg Config) *Table { return traceExperiment(cfg, "fig4", 8) },
-	})
 }
