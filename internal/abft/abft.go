@@ -13,14 +13,17 @@
 // factor entry, a trailing-update output or a pivot decision perturbs one
 // side of the identity but not the other.
 //
-// Every function here is a straight loop nest over existing buffers: the
-// package is on the hotpath-alloc lint's hot-root list and must stay
-// allocation free (internal/scratch is the sanctioned source of temporaries).
+// Every function here is a straight loop nest over existing buffers, with
+// the column sums and dot products on the unit-stride blas.Dsum and
+// blas.Ddot (vector kernels where the host has them): the package is on the
+// hotpath-alloc lint's hot-root list and must stay allocation free
+// (internal/scratch is the sanctioned source of temporaries).
 package abft
 
 import (
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/scratch"
 )
@@ -31,11 +34,7 @@ import (
 func ColumnSums(a *matrix.Dense, sums []float64) {
 	n := min(a.Cols, len(sums))
 	for j := 0; j < n; j++ {
-		s := 0.0
-		for _, v := range a.Col(j) {
-			s += v
-		}
-		sums[j] = s
+		sums[j] = blas.Dsum(a.Col(j))
 	}
 }
 
@@ -46,12 +45,7 @@ func ColumnSums(a *matrix.Dense, sums []float64) {
 // factorization — each panel's verification task computes them once.
 func AccumulateLSums(a *matrix.Dense, c0, c1 int, vsums []float64) {
 	for t := c0; t < c1; t++ {
-		col := a.Col(t)
-		s := 1.0
-		for i := t + 1; i < len(col); i++ {
-			s += col[i]
-		}
-		vsums[t] = s
+		vsums[t] = 1 + blas.Dsum(a.Col(t)[t+1:])
 	}
 }
 
@@ -64,11 +58,7 @@ func AccumulateLSums(a *matrix.Dense, c0, c1 int, vsums []float64) {
 // NaN, and a comparison that NaN slips through would defeat the check.
 func VerifyLUColumns(a *matrix.Dense, c0, c1 int, vsums, wsums []float64, tol float64) int {
 	for j := c0; j < c1; j++ {
-		col := a.Col(j)
-		pred := 0.0
-		for t := 0; t <= j; t++ {
-			pred += vsums[t] * col[t]
-		}
+		pred := blas.Ddot(j+1, vsums, 1, a.Col(j), 1)
 		if !(math.Abs(pred-wsums[j]) <= tol) {
 			return j
 		}
@@ -92,25 +82,16 @@ func VerifyLUPanel(a *matrix.Dense, idx []int, fac *matrix.Dense, c0 int, tol fl
 	}
 	vf := scratch.Get(kk)
 	for t := 0; t < kk; t++ {
-		col := fac.Col(t)
-		s := 1.0
-		for i := t + 1; i < kk; i++ {
-			s += col[i]
-		}
-		vf[t] = s
+		vf[t] = 1 + blas.Dsum(fac.Col(t)[t+1:kk])
 	}
 	ok := true
 	for j := 0; j < w; j++ {
-		facCol := fac.Col(j)
 		aCol := a.Col(c0 + j)
 		actual := 0.0
 		for i := 0; i < kk; i++ {
 			actual += aCol[idx[i]]
 		}
-		pred := 0.0
-		for t := 0; t <= j && t < kk; t++ {
-			pred += vf[t] * facCol[t]
-		}
+		pred := blas.Ddot(min(j+1, kk), vf, 1, fac.Col(j), 1)
 		if !(math.Abs(actual-pred) <= tol) {
 			ok = false
 			break
@@ -131,20 +112,11 @@ func VerifyGEPPPanel(panel *matrix.Dense, ws []float64, tol float64) bool {
 	kk := min(mr, w)
 	vl := scratch.Get(kk)
 	for t := 0; t < kk; t++ {
-		col := panel.Col(t)
-		s := 1.0
-		for i := t + 1; i < mr; i++ {
-			s += col[i]
-		}
-		vl[t] = s
+		vl[t] = 1 + blas.Dsum(panel.Col(t)[t+1:])
 	}
 	ok := true
 	for j := 0; j < w; j++ {
-		col := panel.Col(j)
-		pred := 0.0
-		for t := 0; t <= j && t < kk; t++ {
-			pred += vl[t] * col[t]
-		}
+		pred := blas.Ddot(min(j+1, kk), vl, 1, panel.Col(j), 1)
 		if !(math.Abs(pred-ws[j]) <= tol) {
 			ok = false
 			break
@@ -163,11 +135,7 @@ func VerifyGEPPPanel(panel *matrix.Dense, ws []float64, tol float64) bool {
 // offending column, or -1.
 func VerifyQRColumns(a *matrix.Dense, u []float64, c0, c1 int, wsums []float64, tol float64) int {
 	for j := c0; j < c1; j++ {
-		col := a.Col(j)
-		pred := 0.0
-		for i := 0; i <= j; i++ {
-			pred += u[i] * col[i]
-		}
+		pred := blas.Ddot(j+1, u, 1, a.Col(j), 1)
 		if !(math.Abs(pred-wsums[j]) <= tol) {
 			return j
 		}

@@ -37,6 +37,65 @@ func TestDgemmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGemmInPlaceZeroAlloc pins Dgemm's in-place-A path (gemmInPlace,
+// taken on AVX2+FMA hosts) to zero steady-state allocations on GEQR3's
+// C2 -= V2*W shape at the tall leaf, with fringe rows and an NR fringe
+// column so every branch runs: packed B and the fringe rows' packed A come
+// from internal/scratch, and the fringe tile lives on the stack.
+func TestGemmInPlaceZeroAlloc(t *testing.T) {
+	const m, n, k = 2503, 51, 48
+	a := make([]float64, m*k)
+	b := make([]float64, k*n)
+	c := make([]float64, m*n)
+	for i := range a {
+		a[i] = float64(i%7) * 0.5
+	}
+	for i := range b {
+		b[i] = float64(i%5) * 0.25
+	}
+	run := func() {
+		Dgemm(NoTrans, NoTrans, m, n, k, -1, a, m, b, k, 0, c, m)
+	}
+	run()
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("Dgemm(%d×%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, k, avg)
+	}
+}
+
+// TestLevel12ZeroAlloc pins the level-1 and level-2 routines behind the
+// panel bases (GEQR2, GETF2, Larft) and the ABFT checksums to zero
+// allocations on the tall leaf's 2500-row columns.
+func TestLevel12ZeroAlloc(t *testing.T) {
+	const m, n = 2500, 8
+	a := make([]float64, m*n)
+	x := make([]float64, m)
+	y := make([]float64, n)
+	for i := range a {
+		a[i] = float64(i%7) * 0.01
+	}
+	for i := range x {
+		x[i] = float64(i%5) * 0.25
+	}
+	sink := 0.0
+	run := func() {
+		sink += Ddot(m, x, 1, a, 1)
+		sink += Dsum(a[:m])
+		Daxpy(m, 0.5, x, 1, a, 1)
+		Dscal(m, 0.5, a, 1)
+		sink += float64(Idamax(m, a, 1))
+		sink += Dnrm2(m, a, 1)
+		Dgemv(Trans, m, n, 1, a, m, x, 1, 0, y, 1)
+		Dgemv(NoTrans, m, n, 1, a, m, y, 1, 0.5, x, 1)
+		Dger(m, n, -1e-3, x, 1, y, 1, a, m)
+	}
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("level-1/2 routines allocate %.1f objects per round in steady state, want 0", avg)
+	}
+	_ = sink
+}
+
 // TestDtrsmZeroAlloc pins the recursive Dtrsm to zero steady-state
 // allocations on the CALU L-task shape: the recursion only reslices, and
 // its Dgemm updates take their pack buffers from internal/scratch.

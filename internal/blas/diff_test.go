@@ -1,13 +1,14 @@
 package blas_test
 
-// Randomized differential tests pitting the packed Level 3 kernels (and the
-// unrolled Dger) against the frozen pre-refactor references in
-// internal/baseline. Every case runs on both microkernel paths (assembly
-// when the host supports it, and the forced-generic Go kernel), with
-// lda/ldb slack so out-of-bounds writes into the padding rows are caught by
+// Randomized differential tests pitting the packed Level 3 kernels against
+// the frozen pre-refactor references in internal/baseline, and the level-1
+// and level-2 routines against naive loops. Every case runs on both kernel
+// paths (assembly when the host supports it, and the forced Go loops), with
+// lda/ldb slack or guard cells so out-of-bounds writes are caught by
 // whole-slice comparison.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,60 +52,84 @@ func closeEnough(got, want, scale float64) bool {
 	return math.Abs(got-want) <= 1e-12*(scale+math.Abs(want))
 }
 
-// gemmSizes are the differential sweep dimensions: every fringe size the
-// issue calls out (1..17 covers MR±1 and NR±1 for the 8x4 tile) plus sizes
-// spanning the MC/KC/NC cache-block boundaries.
-var gemmSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 31, 100, 129}
+// gemmSizes are the differential sweep dimensions: every fringe size of
+// the 8x4 tile (1..17 covers MR±1 and NR±1), both sides of the in-place-A
+// limit of 64 on n and k, and sizes spanning the MC/KC/NC cache-block
+// boundaries.
+var gemmSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 31, 64, 65, 100, 129}
+
+// gemmShape is one Dgemm call: transposes and m x n x k.
+type gemmShape struct {
+	transA, transB blas.Transpose
+	m, n, k        int
+}
+
+// gemmTall are the tall-leaf update shapes appended to the sweep: an
+// RGETF2-sized A22 -= L21*U12 on a 2500-row leaf, and NoTrans-A updates
+// at the widest and deepest in-place shape and one past it, with fringe
+// rows below the last 8-row strip.
+var gemmTall = []gemmShape{
+	{blas.NoTrans, blas.NoTrans, 2500, 50, 50},
+	{blas.NoTrans, blas.NoTrans, 2503, 64, 64},
+	{blas.NoTrans, blas.Trans, 2500, 32, 65},
+	{blas.NoTrans, blas.Trans, 2501, 65, 13},
+}
+
+// gemmCases subsamples the gemmSizes cube for every transpose pair —
+// diagonal-ish cases plus all small-fringe triples keep the sweep fast
+// while still crossing every strip boundary — and appends gemmTall.
+func gemmCases() []gemmShape {
+	var cs []gemmShape
+	i := 0
+	for _, transA := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+		for _, transB := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+			for _, m := range gemmSizes {
+				for _, n := range gemmSizes {
+					for _, k := range gemmSizes {
+						i++
+						if (m > 17 || n > 17 || k > 17) && (m+n+k+i)%3 != 0 {
+							continue
+						}
+						cs = append(cs, gemmShape{transA, transB, m, n, k})
+					}
+				}
+			}
+		}
+	}
+	return append(cs, gemmTall...)
+}
 
 func TestDgemmDifferential(t *testing.T) {
 	alphas := []float64{1, -0.7, 2.3}
 	betas := []float64{0, 1, -1.3}
 	bothKernels(t, func(t *testing.T) {
 		r := lcg(1)
-		caseIdx := 0
-		for _, transA := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-			for _, transB := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-				for _, m := range gemmSizes {
-					for _, n := range gemmSizes {
-						for _, k := range gemmSizes {
-							// Subsample the cube: diagonal-ish cases plus all
-							// small-fringe triples keep the sweep fast while
-							// still crossing every strip boundary.
-							if m > 17 || n > 17 || k > 17 {
-								if (m+n+k+caseIdx)%3 != 0 {
-									caseIdx++
-									continue
-								}
-							}
-							caseIdx++
-							alpha := alphas[caseIdx%len(alphas)]
-							beta := betas[caseIdx%len(betas)]
-							ldSlack := caseIdx % 3 // exercise lda > rows
-							rowA, colA := m, k
-							if transA == blas.Trans {
-								rowA, colA = k, m
-							}
-							rowB, colB := k, n
-							if transB == blas.Trans {
-								rowB, colB = n, k
-							}
-							lda := rowA + ldSlack
-							ldb := rowB + ldSlack
-							ldc := m + ldSlack
-							a := randSlice(lda*colA, &r)
-							b := randSlice(ldb*colB, &r)
-							c := randSlice(ldc*n, &r)
-							want := append([]float64(nil), c...)
-							blas.Dgemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-							baseline.RefGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
-							for i := range c {
-								if !closeEnough(c[i], want[i], float64(k)) {
-									t.Fatalf("Dgemm transA=%v transB=%v m=%d n=%d k=%d lda=%d alpha=%g beta=%g: c[%d]=%g want %g",
-										transA, transB, m, n, k, lda, alpha, beta, i, c[i], want[i])
-								}
-							}
-						}
-					}
+		for caseIdx, c := range gemmCases() {
+			transA, transB, m, n, k := c.transA, c.transB, c.m, c.n, c.k
+			alpha := alphas[caseIdx%len(alphas)]
+			beta := betas[caseIdx%len(betas)]
+			ldSlack := caseIdx % 4 // exercise lda > rows
+			rowA, colA := m, k
+			if transA == blas.Trans {
+				rowA, colA = k, m
+			}
+			rowB, colB := k, n
+			if transB == blas.Trans {
+				rowB, colB = n, k
+			}
+			lda := rowA + ldSlack
+			ldb := rowB + ldSlack
+			ldc := m + ldSlack
+			a := randSlice(lda*colA, &r)
+			b := randSlice(ldb*colB, &r)
+			cm := randSlice(ldc*n, &r)
+			want := append([]float64(nil), cm...)
+			blas.Dgemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, cm, ldc)
+			baseline.RefGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+			for i := range cm {
+				if !closeEnough(cm[i], want[i], float64(k)) {
+					t.Fatalf("Dgemm transA=%v transB=%v m=%d n=%d k=%d lda=%d alpha=%g beta=%g: c[%d]=%g want %g",
+						transA, transB, m, n, k, lda, alpha, beta, i, cm[i], want[i])
 				}
 			}
 		}
@@ -112,8 +137,9 @@ func TestDgemmDifferential(t *testing.T) {
 }
 
 // triSizes cross the recursive drivers' order-8 base and their split
-// points (multiples of 8) on both sides.
-var triSizes = []int{1, 2, 5, 7, 8, 9, 15, 16, 17, 33, 100, 130}
+// points (multiples of 8) on both sides, and the narrow right-hand sides
+// (n <= 32) whose off-diagonal updates read A in place.
+var triSizes = []int{1, 2, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 100, 130}
 
 // triShape is one triangular call the factorizations issue: side, uplo,
 // trans and diag fixed, m x n right-hand side.
@@ -219,41 +245,275 @@ func TestDtrmmDifferential(t *testing.T) {
 }
 
 // triOperands draws one differential case's operands: a well-conditioned
-// triangle of the side's order and a right-hand side, with 0-2 rows of
+// triangle of the side's order and a right-hand side, with 0-3 rows of
 // leading-dimension slack and alpha cycling through {1, -0.6, 1.8}.
 func triOperands(c triShape, caseIdx int, r *lcg) (a []float64, lda int, b []float64, ldb int, alpha float64) {
 	na := c.order()
-	ldSlack := caseIdx % 3
+	ldSlack := caseIdx % 4
 	lda = na + ldSlack
 	ldb = c.m + ldSlack
 	alpha = []float64{1, -0.6, 1.8}[caseIdx%3]
 	return wellConditioned(na, lda, r), lda, randSlice(ldb*c.n, r), ldb, alpha
 }
 
-// TestDgerDifferential pits the 4-column unrolled Dger against a naive
-// rank-1 loop, covering the unroll tail and strided y.
+// vecLengths are the level-1/2 sweep lengths: every length 0..33 (each
+// remainder of the 16- and 4-wide assembly loops, and every scalar tail)
+// plus the tall leaf's 2500 rows.
+var vecLengths = func() []int {
+	ls := make([]int, 0, 35)
+	for n := 0; n <= 33; n++ {
+		ls = append(ls, n)
+	}
+	return append(ls, 2500)
+}()
+
+// guarded is a vector of n elements at offset off (0..3, varying its
+// alignment) inside a buffer whose other cells are random guard values.
+// Comparing the whole buffer against a reference catches any write outside
+// the n elements.
+type guarded struct {
+	buf []float64
+	off int
+}
+
+const guardCells = 8
+
+func newGuarded(n, off int, r *lcg) guarded {
+	return guarded{buf: randSlice(off+n+guardCells, r), off: off}
+}
+
+// vec returns the vector; its capacity runs into the trailing guards so an
+// overrun reaches them instead of panicking.
+func (g guarded) vec() []float64 { return g.buf[g.off:] }
+
+func (g guarded) clone() guarded { return guarded{append([]float64(nil), g.buf...), g.off} }
+
+// check fails t when any cell of g differs from want's by more than the
+// depth-scaled tolerance; guard cells must match exactly.
+func (g guarded) check(t *testing.T, want guarded, scale float64, what string) {
+	t.Helper()
+	for i := range g.buf {
+		if !closeEnough(g.buf[i], want.buf[i], scale) {
+			t.Fatalf("%s: cell %d (vector starts at %d) = %g, want %g", what, i, g.off, g.buf[i], want.buf[i])
+		}
+	}
+}
+
+// TestDgerDifferential pits Dger (a 4-column unrolled Go loop, or one
+// Daxpy per column on the assembly path) against a naive rank-1 loop:
+// small shapes across the unroll tail, then one dimension from vecLengths
+// and the other 3. y is unit or strided, every slice offset 0-3 is used,
+// lda has 0-3 rows of slack and guard cells surround A.
 func TestDgerDifferential(t *testing.T) {
-	r := lcg(4)
-	for caseIdx, dims := range [][2]int{{1, 1}, {3, 4}, {7, 5}, {8, 8}, {17, 13}, {100, 31}, {129, 65}} {
-		m, n := dims[0], dims[1]
-		for _, incY := range []int{1, 2} {
-			lda := m + caseIdx%3
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(4)
+		dims := [][2]int{{1, 1}, {3, 4}, {7, 5}, {8, 8}, {17, 13}, {100, 31}, {129, 65}}
+		for _, long := range vecLengths {
+			dims = append(dims, [2]int{long, 3}, [2]int{3, long})
+		}
+		for caseIdx, d := range dims {
+			m, n := d[0], d[1]
+			lda := max(1, m+caseIdx%4)
 			alpha := []float64{1, -0.8, 2.1}[caseIdx%3]
-			x := randSlice(m, &r)
-			y := randSlice(n*incY, &r)
-			a := randSlice(lda*n, &r)
-			want := append([]float64(nil), a...)
-			blas.Dger(m, n, alpha, x, 1, y, incY, a, lda)
-			for j := 0; j < n; j++ {
-				for i := 0; i < m; i++ {
-					want[j*lda+i] += alpha * x[i] * y[j*incY]
-				}
-			}
-			for i := range a {
-				if !closeEnough(a[i], want[i], 1) {
-					t.Fatalf("Dger m=%d n=%d incY=%d alpha=%g: a[%d]=%g want %g", m, n, incY, alpha, i, a[i], want[i])
+			for _, incY := range []int{1, 2} {
+				for off := 0; off < 4; off++ {
+					a := newGuarded(lda*n, off, &r)
+					x := newGuarded(m, (off+1)%4, &r)
+					y := newGuarded(n*incY, (off+2)%4, &r)
+					want := a.clone()
+					for j := 0; j < n; j++ {
+						for i := 0; i < m; i++ {
+							want.vec()[j*lda+i] += alpha * x.vec()[i] * y.vec()[j*incY]
+						}
+					}
+					blas.Dger(m, n, alpha, x.vec(), 1, y.vec(), incY, a.vec(), lda)
+					a.check(t, want, 1, fmt.Sprintf("Dger m=%d n=%d lda=%d incY=%d off=%d", m, n, lda, incY, off))
 				}
 			}
 		}
+	})
+}
+
+func TestLevel1Differential(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(5)
+		for _, n := range vecLengths {
+			for off := 0; off < 4; off++ {
+				what := func(name string) string { return fmt.Sprintf("%s n=%d off=%d", name, n, off) }
+				x := newGuarded(n, (off+1)%4, &r)
+				y := newGuarded(n, off, &r)
+
+				want := 0.0
+				for i := 0; i < n; i++ {
+					want += x.vec()[i] * y.vec()[i]
+				}
+				if got := blas.Ddot(n, x.vec(), 1, y.vec(), 1); !closeEnough(got, want, float64(n)) {
+					t.Fatalf("%s = %g, want %g", what("Ddot"), got, want)
+				}
+
+				want = 0
+				for i := 0; i < n; i++ {
+					want += x.vec()[i]
+				}
+				if got := blas.Dsum(x.vec()[:n]); !closeEnough(got, want, float64(n)) {
+					t.Fatalf("%s = %g, want %g", what("Dsum"), got, want)
+				}
+
+				wantY := y.clone()
+				for i := 0; i < n; i++ {
+					wantY.vec()[i] += -0.7 * x.vec()[i]
+				}
+				blas.Daxpy(n, -0.7, x.vec(), 1, y.vec(), 1)
+				y.check(t, wantY, 1, what("Daxpy"))
+
+				wantX := x.clone()
+				for i := 0; i < n; i++ {
+					wantX.vec()[i] *= 1.3
+				}
+				blas.Dscal(n, 1.3, x.vec(), 1)
+				x.check(t, wantX, 1, what("Dscal"))
+
+				if n > 0 {
+					if got, want := blas.Idamax(n, x.vec(), 1), refIdamax(x.vec()[:n]); got != want {
+						t.Fatalf("%s = %d, want %d", what("Idamax"), got, want)
+					}
+				}
+				if got, want := blas.Dnrm2(n, x.vec(), 1), refNrm2(x.vec()[:n]); !closeEnough(got, want, 1) {
+					t.Fatalf("%s = %g, want %g", what("Dnrm2"), got, want)
+				}
+			}
+		}
+	})
+}
+
+// refIdamax is the reference BLAS scan: the first index of the largest
+// magnitude.
+func refIdamax(x []float64) int {
+	best := 0
+	for i, v := range x {
+		if math.Abs(v) > math.Abs(x[best]) {
+			best = i
+		}
 	}
+	return best
+}
+
+// refNrm2 is the LAPACK dlassq loop.
+func refNrm2(x []float64) float64 {
+	scale, ssq := 0.0, 1.0
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		a := math.Abs(v)
+		if scale < a {
+			ssq = 1 + ssq*(scale/a)*(scale/a)
+			scale = a
+		} else {
+			ssq += (a / scale) * (a / scale)
+		}
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// TestIdamaxTies plants the maximum magnitude at several positions, with
+// either sign, and a NaN just before the first: the first planted position
+// must win on every length.
+func TestIdamaxTies(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(6)
+		for _, n := range vecLengths {
+			for first := 0; first < n; first += 1 + n/7 {
+				x := randSlice(n, &r)
+				x[first] = -4
+				for i := first + 1 + (first % 3); i < n; i += 5 {
+					x[i] = 4 * float64(1-2*(i%2))
+				}
+				if first > 1 { // a NaN x[0] would win by definition
+					x[first-1] = math.NaN()
+				}
+				if got := blas.Idamax(n, x, 1); got != first {
+					t.Fatalf("Idamax n=%d: %d, want the first maximum at %d", n, got, first)
+				}
+			}
+		}
+		if got := blas.Idamax(3, []float64{math.NaN(), 5, 7}, 1); got != 0 {
+			t.Fatalf("Idamax with NaN x[0] = %d, want 0", got)
+		}
+		if got := blas.Idamax(5, []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}, 1); got != 0 {
+			t.Fatalf("Idamax of all NaN = %d, want 0", got)
+		}
+	})
+}
+
+// TestDnrm2Scales pits Dnrm2 against the dlassq loop where a plain sum of
+// squares would overflow or underflow: 1e+-300 scales, subnormals, and
+// vectors mixing magnitudes that are far apart.
+func TestDnrm2Scales(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(7)
+		scales := []float64{1e300, 1e-300, 5e-324, 1e-310, 1e150, 1e-150, 1}
+		for _, n := range vecLengths {
+			for _, s := range scales {
+				x := randSlice(n, &r)
+				for i := range x {
+					x[i] *= s
+				}
+				if got, want := blas.Dnrm2(n, x, 1), refNrm2(x); math.Abs(got-want) > 1e-13*want {
+					t.Fatalf("Dnrm2 n=%d scale=%g = %g, want %g", n, s, got, want)
+				}
+			}
+			x := randSlice(n, &r)
+			for i := range x {
+				x[i] *= scales[i%len(scales)]
+			}
+			if got, want := blas.Dnrm2(n, x, 1), refNrm2(x); math.Abs(got-want) > 1e-13*want {
+				t.Fatalf("Dnrm2 n=%d mixed scales = %g, want %g", n, got, want)
+			}
+		}
+	})
+}
+
+// TestDgemvDifferential runs Dgemv (both transposes) with one dimension
+// from vecLengths and the other small, at every slice offset, with
+// lda = m+3 and guard cells around every output.
+func TestDgemvDifferential(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(8)
+		for _, long := range vecLengths {
+			for _, dims := range [][2]int{{long, 3}, {3, long}} {
+				m, n := dims[0], dims[1]
+				lda := m + 3
+				for off := 0; off < 4; off++ {
+					what := func(name string) string { return fmt.Sprintf("%s m=%d n=%d off=%d", name, m, n, off) }
+					a := newGuarded(lda*n, off, &r)
+					xm, xn := newGuarded(m, (off+1)%4, &r), newGuarded(n, (off+2)%4, &r)
+					ym, yn := newGuarded(m, off, &r), newGuarded(n, (off+3)%4, &r)
+					av := a.vec()
+
+					want := ym.clone()
+					for i := 0; i < m; i++ {
+						s := 0.0
+						for j := 0; j < n; j++ {
+							s += av[j*lda+i] * xn.vec()[j]
+						}
+						want.vec()[i] = 0.5*want.vec()[i] + 1.5*s
+					}
+					blas.Dgemv(blas.NoTrans, m, n, 1.5, av, lda, xn.vec(), 1, 0.5, ym.vec(), 1)
+					ym.check(t, want, float64(n), what("Dgemv NoTrans"))
+
+					want = yn.clone()
+					for j := 0; j < n; j++ {
+						s := 0.0
+						for i := 0; i < m; i++ {
+							s += av[j*lda+i] * xm.vec()[i]
+						}
+						want.vec()[j] += -0.9 * s
+					}
+					blas.Dgemv(blas.Trans, m, n, -0.9, av, lda, xm.vec(), 1, 1, yn.vec(), 1)
+					yn.check(t, want, float64(m), what("Dgemv Trans"))
+				}
+			}
+		}
+	})
 }

@@ -17,13 +17,21 @@ import (
 // Idamax returns the index of the element of x with the largest absolute
 // value, scanning n elements with stride incX. It returns -1 when n <= 0.
 // Ties resolve to the first occurrence, as in the reference BLAS, which the
-// pivoting code relies on for determinism.
+// pivoting code relies on for determinism. NaN elements never win, except
+// that a NaN x[0] is returned as 0.
 func Idamax(n int, x []float64, incX int) int {
 	if n <= 0 {
 		return -1
 	}
 	if incX <= 0 {
 		panic(fmt.Errorf("%w: bad increment %d", ErrShape, incX))
+	}
+	if incX == 1 && useAsmKernel {
+		x = x[:n]
+		if x[0] != x[0] {
+			return 0
+		}
+		return idamaxAsm(x)
 	}
 	best, bestAbs := 0, math.Abs(x[0])
 	idx := incX
@@ -45,7 +53,12 @@ func Dscal(n int, alpha float64, x []float64, incX int) {
 		panic(fmt.Errorf("%w: bad increment %d", ErrShape, incX))
 	}
 	if incX == 1 {
-		for i := 0; i < n; i++ {
+		x = x[:n]
+		if useAsmKernel {
+			dscalAsm(alpha, x)
+			return
+		}
+		for i := range x {
 			x[i] *= alpha
 		}
 		return
@@ -66,6 +79,10 @@ func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 	if incX == 1 && incY == 1 {
 		x = x[:n]
 		y = y[:n]
+		if useAsmKernel {
+			daxpyAsm(alpha, x, y)
+			return
+		}
 		for i, v := range x {
 			y[i] += alpha * v
 		}
@@ -91,6 +108,9 @@ func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	if incX == 1 && incY == 1 {
 		x = x[:n]
 		y = y[:n]
+		if useAsmKernel {
+			return ddotAsm(x, y)
+		}
 		for i, v := range x {
 			sum += v * y[i]
 		}
@@ -105,14 +125,48 @@ func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	return sum
 }
 
-// Dnrm2 returns the Euclidean norm of n elements of x, with scaling to
-// avoid overflow/underflow (the LAPACK dlassq approach).
+// Dsum returns the plain (signed) sum of the elements of x, like the
+// OpenBLAS dsum extension. Unlike the other vector routines it takes a
+// contiguous slice rather than n and an increment: its callers, the ABFT
+// checksum passes, sum whole columns or their tails.
+func Dsum(x []float64) float64 {
+	if useAsmKernel {
+		return dsumAsm(x)
+	}
+	sum := 0.0
+	for _, v := range x {
+		sum += v
+	}
+	return sum
+}
+
+// Bounds on a plain sum of squares within which Dnrm2 trusts it: below
+// ssqMin an element's square may have lost accuracy to gradual underflow
+// relative to the total, and above ssqMax a partial sum may have
+// overflowed. Inside, every square too small to be a normal number is
+// below 2^-122 of the total, so dropping its low bits costs nothing.
+const (
+	ssqMin = 0x1p-900
+	ssqMax = 0x1p900
+)
+
+// Dnrm2 returns the Euclidean norm of n elements of x without overflow or
+// underflow. The unit-stride assembly path takes the square root of a
+// plain sum of squares (one Ddot of x with itself) whenever that sum lies
+// in [ssqMin, ssqMax]; anything else, and every Go path, runs the scaled
+// LAPACK dlassq loop.
 func Dnrm2(n int, x []float64, incX int) float64 {
 	if n <= 0 {
 		return 0
 	}
 	if incX <= 0 {
 		panic(fmt.Errorf("%w: bad increment %d", ErrShape, incX))
+	}
+	if incX == 1 && useAsmKernel {
+		x = x[:n]
+		if ssq := ddotAsm(x, x); ssq >= ssqMin && ssq <= ssqMax {
+			return math.Sqrt(ssq)
+		}
 	}
 	scale, ssq := 0.0, 1.0
 	idx := 0
@@ -129,40 +183,4 @@ func Dnrm2(n int, x []float64, incX int) float64 {
 		idx += incX
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Dswap exchanges n elements of x and y.
-func Dswap(n int, x []float64, incX int, y []float64, incY int) {
-	if n <= 0 {
-		return
-	}
-	if incX <= 0 || incY <= 0 {
-		panic(fmt.Errorf("%w: bad increments %d %d", ErrShape, incX, incY))
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		x[ix], y[iy] = y[iy], x[ix]
-		ix += incX
-		iy += incY
-	}
-}
-
-// Dcopy copies n elements of x into y.
-func Dcopy(n int, x []float64, incX int, y []float64, incY int) {
-	if n <= 0 {
-		return
-	}
-	if incX <= 0 || incY <= 0 {
-		panic(fmt.Errorf("%w: bad increments %d %d", ErrShape, incX, incY))
-	}
-	if incX == 1 && incY == 1 {
-		copy(y[:n], x[:n])
-		return
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		y[iy] = x[ix]
-		ix += incX
-		iy += incY
-	}
 }

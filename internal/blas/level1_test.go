@@ -94,20 +94,6 @@ func TestDnrm2(t *testing.T) {
 	}
 }
 
-func TestDswapDcopy(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	Dswap(3, x, 1, y, 1)
-	if x[0] != 4 || y[2] != 3 {
-		t.Fatalf("swap failed: %v %v", x, y)
-	}
-	z := make([]float64, 3)
-	Dcopy(3, x, 1, z, 1)
-	if z[0] != 4 || z[1] != 5 || z[2] != 6 {
-		t.Fatalf("copy failed: %v", z)
-	}
-}
-
 func TestDdotCommutativeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := matrix.Random(17, 1, seed).Col(0)
@@ -145,21 +131,6 @@ func TestStridedVariants(t *testing.T) {
 	if got := Ddot(3, x, 2, y, 3); got != 1*12+2*24+3*36 {
 		t.Fatalf("strided Ddot = %v", got)
 	}
-	z := make([]float64, 9)
-	Dcopy(3, x, 2, z, 3)
-	if z[0] != 1 || z[3] != 2 || z[6] != 3 {
-		t.Fatalf("strided Dcopy: %v", z)
-	}
-	Dswap(3, x, 2, z, 3)
-	if x[0] != 1 || z[0] != 1 {
-		// Swapping equal values: use distinct ones.
-	}
-	a := []float64{1, 9, 2, 9}
-	b := []float64{5, 6}
-	Dswap(2, a, 2, b, 1)
-	if a[0] != 5 || a[2] != 6 || b[0] != 1 || b[1] != 2 {
-		t.Fatalf("strided Dswap: %v %v", a, b)
-	}
 	nrm := Dnrm2(2, []float64{3, 99, 4, 99}, 2)
 	if math.Abs(nrm-5) > 1e-14 {
 		t.Fatalf("strided Dnrm2 = %v", nrm)
@@ -173,8 +144,6 @@ func TestBadIncrementPanics(t *testing.T) {
 		"Daxpy":  func() { Daxpy(2, 1, []float64{1, 2}, 0, []float64{1, 2}, 1) },
 		"Ddot":   func() { Ddot(2, []float64{1, 2}, 1, []float64{1, 2}, 0) },
 		"Dnrm2":  func() { Dnrm2(2, []float64{1, 2}, 0) },
-		"Dswap":  func() { Dswap(2, []float64{1, 2}, 0, []float64{1, 2}, 1) },
-		"Dcopy":  func() { Dcopy(2, []float64{1, 2}, 1, []float64{1, 2}, 0) },
 	} {
 		func() {
 			defer func() {
@@ -191,9 +160,7 @@ func TestZeroLengthNoops(t *testing.T) {
 	// n <= 0 must be a silent no-op for every level-1 routine.
 	Dscal(0, 2, nil, 1)
 	Daxpy(-1, 2, nil, 1, nil, 1)
-	Dswap(0, nil, 1, nil, 1)
-	Dcopy(0, nil, 1, nil, 1)
-	if Dnrm2(0, nil, 1) != 0 || Ddot(0, nil, 1, nil, 1) != 0 {
+	if Dnrm2(0, nil, 1) != 0 || Ddot(0, nil, 1, nil, 1) != 0 || Dsum(nil) != 0 {
 		t.Fatal("zero-length reductions must return 0")
 	}
 }

@@ -42,10 +42,11 @@ const (
 // Dger performs the rank-1 update A = A + alpha * x * y^T where A is m x n
 // with leading dimension lda.
 //
-// The unit-incX path — the inner loop of the rgetf2 panel factorization,
-// where this routine is on the critical path of every CALU panel — is
-// unrolled over four columns so each x element loaded feeds four column
-// updates instead of one.
+// Each column is one Daxpy, so the unit-stride case runs on the assembly
+// kernel when the CPU probe enabled it. Without it, the unit-incX path —
+// the inner loop of the rgetf2 panel factorization, where this routine is
+// on the critical path of every CALU panel — is unrolled over four columns
+// so each x element loaded feeds four column updates instead of one.
 func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
 	if m < 0 || n < 0 || lda < max(1, m) {
 		panic(fmt.Errorf("%w: Dger bad dims m=%d n=%d lda=%d", ErrShape, m, n, lda))
@@ -53,7 +54,7 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 	if m == 0 || n == 0 || alpha == 0 {
 		return
 	}
-	if incX == 1 {
+	if incX == 1 && !useAsmKernel {
 		xv := x[:m]
 		iy := 0
 		j := 0
@@ -75,35 +76,19 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 			}
 		}
 		for ; j < n; j++ {
-			ajy := alpha * y[iy]
+			Daxpy(m, alpha*y[iy], xv, 1, a[j*lda:j*lda+m], 1)
 			iy += incY
-			if ajy == 0 {
-				continue
-			}
-			col := a[j*lda : j*lda+m]
-			for i, v := range xv {
-				col[i] += v * ajy
-			}
 		}
 		return
 	}
-	iy := 0
-	for j := 0; j < n; j++ {
-		ajy := alpha * y[iy]
-		iy += incY
-		if ajy == 0 {
-			continue
-		}
-		col := a[j*lda : j*lda+m]
-		ix := 0
-		for i := 0; i < m; i++ {
-			col[i] += x[ix] * ajy
-			ix += incX
-		}
+	for j, iy := 0, 0; j < n; j, iy = j+1, iy+incY {
+		Daxpy(m, alpha*y[iy], x, incX, a[j*lda:j*lda+m], 1)
 	}
 }
 
-// Dgemv computes y = alpha*op(A)*x + beta*y for an m x n matrix A.
+// Dgemv computes y = alpha*op(A)*x + beta*y for an m x n matrix A. The
+// NoTrans product is one Daxpy per column of A and the Trans product one
+// Ddot per column, so both run on the level-1 kernels.
 func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
 	if m < 0 || n < 0 || lda < max(1, m) {
 		panic(fmt.Errorf("%w: Dgemv bad dims m=%d n=%d lda=%d", ErrShape, m, n, lda))
@@ -128,46 +113,14 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	}
 	if trans == NoTrans {
 		// y += alpha * A * x, column by column.
-		ix := 0
-		for j := 0; j < n; j++ {
-			ajx := alpha * x[ix]
-			ix += incX
-			if ajx == 0 {
-				continue
-			}
-			col := a[j*lda : j*lda+m]
-			if incY == 1 {
-				for i, v := range col {
-					y[i] += ajx * v
-				}
-			} else {
-				iy := 0
-				for i := 0; i < m; i++ {
-					y[iy] += ajx * col[i]
-					iy += incY
-				}
-			}
+		for j, ix := 0, 0; j < n; j, ix = j+1, ix+incX {
+			Daxpy(m, alpha*x[ix], a[j*lda:j*lda+m], 1, y, incY)
 		}
 		return
 	}
 	// y += alpha * A^T * x: each y[j] is a dot of column j with x.
-	iy := 0
-	for j := 0; j < n; j++ {
-		col := a[j*lda : j*lda+m]
-		sum := 0.0
-		if incX == 1 {
-			for i, v := range col {
-				sum += v * x[i]
-			}
-		} else {
-			ix := 0
-			for i := 0; i < m; i++ {
-				sum += col[i] * x[ix]
-				ix += incX
-			}
-		}
-		y[iy] += alpha * sum
-		iy += incY
+	for j, iy := 0, 0; j < n; j, iy = j+1, iy+incY {
+		y[iy] += alpha * Ddot(m, a[j*lda:j*lda+m], 1, x, incX)
 	}
 }
 

@@ -77,6 +77,10 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	if k == 0 || alpha == 0 {
 		return
 	}
+	if transA == NoTrans && useAsmKernel && m >= gemmMR && n <= inPlaceMaxN && k <= inPlaceMaxK {
+		gemmInPlace(transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		return
+	}
 
 	// Shrink the cache blocks to the problem so small multiplies do not pay
 	// for full-sized pack buffers; strips stay MR/NR aligned.
@@ -115,6 +119,56 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 				macroKernel(mcb, ncb, kcb, ap, bp, c[jc*ldc+ic:], ldc)
 			}
 		}
+	}
+}
+
+// Largest n and k for which Dgemm reads a NoTrans op(A) in place
+// (gemmInPlace) instead of packing it: at most 16 NR strips of B and a
+// depth that keeps one 8 x k strip of A within a few KiB of L1. The panel
+// recursions (GEQR3's C2 -= V2*W, RGETF2's A22 -= L21*U12) and the
+// recursive Dtrsm/Dtrmm issue such updates with k and n at most half the
+// panel width; the b = 100 trailing updates (S tasks) are deeper and keep
+// packing.
+const (
+	inPlaceMaxN = 16 * gemmNR
+	inPlaceMaxK = 64
+)
+
+// gemmInPlace computes C += alpha*A*op(B) for a NoTrans A of at least one
+// full register strip, with n <= inPlaceMaxN and k <= inPlaceMaxK. op(B)
+// is packed once; every full 8-row strip of A is then read where it lies,
+// at stride lda, by the assembly microkernel, which applies alpha on
+// write-back. The strip stays in L1 while it sweeps B's few NR strips, so
+// packing it would only copy it once more. Fringe columns go through a
+// tile buffer, and the rows below the last full strip are packed and run
+// through the macrokernel as usual.
+func gemmInPlace(transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	// The assembly kernel reads and writes without bounds checks; fail
+	// here, as the packing path would, when A or C is shorter than its
+	// shape.
+	_ = a[(k-1)*lda+m-1]
+	_ = c[(n-1)*ldc+m-1]
+	bp := scratch.Get(k * ceilMul(n, gemmNR))
+	defer scratch.Put(bp)
+	packB(transB, k, n, b, ldb, bp)
+	mFull := m / gemmMR * gemmMR
+	for ir := 0; ir < mFull; ir += gemmMR {
+		for jr := 0; jr < n; jr += gemmNR {
+			bs := bp[jr*k : jr*k+gemmNR*k]
+			if jb := n - jr; jb < gemmNR {
+				var tmp [gemmMR * gemmNR]float64
+				gemmKernelAsm(k, a[ir:], lda, bs, tmp[:], gemmMR, alpha)
+				addTile(c[jr*ldc+ir:], ldc, &tmp, gemmMR, jb)
+				continue
+			}
+			gemmKernelAsm(k, a[ir:], lda, bs, c[jr*ldc+ir:], ldc, alpha)
+		}
+	}
+	if mFull < m {
+		ap := scratch.Get(gemmMR * k)
+		defer scratch.Put(ap)
+		packA(NoTrans, m-mFull, k, alpha, a[mFull:], lda, ap)
+		macroKernel(m-mFull, n, k, ap, bp, c[mFull:], ldc)
 	}
 }
 
@@ -303,45 +357,4 @@ func trmmRight(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a
 	trmmRight(uplo, trans, diag, m, n1, alpha, a, lda, b, ldb)
 	Dgemm(NoTrans, trans, m, n1, n2, alpha, b2, ldb, off, lda, 1, b, ldb)
 	trmmRight(uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb)
-}
-
-// Dsyrk computes C = alpha*A*A^T + beta*C (trans == NoTrans, A is n x k) or
-// C = alpha*A^T*A + beta*C (trans == Trans, A is k x n), updating only the
-// uplo triangle of the symmetric n x n matrix C.
-func Dsyrk(uplo Uplo, trans Transpose, n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	rowA := n
-	if trans == Trans {
-		rowA = k
-	}
-	if n < 0 || k < 0 || lda < max(1, rowA) || ldc < max(1, n) {
-		panic(fmt.Errorf("%w: Dsyrk bad dims n=%d k=%d lda=%d ldc=%d", ErrShape, n, k, lda, ldc))
-	}
-	if n == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			if trans == NoTrans {
-				for p := 0; p < k; p++ {
-					sum += a[p*lda+i] * a[p*lda+j]
-				}
-			} else {
-				ai := a[i*lda : i*lda+k]
-				aj := a[j*lda : j*lda+k]
-				for p := range ai {
-					sum += ai[p] * aj[p]
-				}
-			}
-			if beta == 0 {
-				c[j*ldc+i] = alpha * sum
-			} else {
-				c[j*ldc+i] = alpha*sum + beta*c[j*ldc+i]
-			}
-		}
-	}
 }

@@ -209,48 +209,6 @@ func TestDtrmmAllCases(t *testing.T) {
 	}
 }
 
-func TestDsyrk(t *testing.T) {
-	const n, k = 6, 4
-	for _, uplo := range []Uplo{Upper, Lower} {
-		for _, trans := range []Transpose{NoTrans, Trans} {
-			ar, ac := n, k
-			if trans == Trans {
-				ar, ac = k, n
-			}
-			a := matrix.Random(ar, ac, 31)
-			c := matrix.Random(n, n, 32)
-			// Symmetrize C so both triangles agree.
-			for i := 0; i < n; i++ {
-				for j := 0; j < i; j++ {
-					c.Set(i, j, c.At(j, i))
-				}
-			}
-			want := c.Clone()
-			refGemm(trans, oppositeT(trans), 2, a, a, 0.5, want)
-			got := c.Clone()
-			Dsyrk(uplo, trans, n, k, 2, a.Data, a.Stride, 0.5, got.Data, got.Stride)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					in := (uplo == Upper && j >= i) || (uplo == Lower && j <= i)
-					if !in {
-						continue
-					}
-					if math.Abs(got.At(i, j)-want.At(i, j)) > 1e-12 {
-						t.Errorf("Dsyrk uplo=%v trans=%v at (%d,%d): %v want %v", uplo, trans, i, j, got.At(i, j), want.At(i, j))
-					}
-				}
-			}
-		}
-	}
-}
-
-func oppositeT(t Transpose) Transpose {
-	if t == Trans {
-		return NoTrans
-	}
-	return Trans
-}
-
 func TestDgemvBothTransposes(t *testing.T) {
 	const m, n = 8, 5
 	a := matrix.Random(m, n, 41)

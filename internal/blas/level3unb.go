@@ -13,93 +13,35 @@ func trsmUnbLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, l
 	}
 }
 
-// trsmUnbRight solves X*op(A) = B in place for an n x n triangle, processing
-// columns of X in dependency order (alpha already applied by the driver).
+// trsmUnbRight solves X*op(A) = B in place for an n x n triangle (alpha
+// already applied by the driver). Column j of X is B's column j minus the
+// already solved columns k it depends on, each weighted by op(A)(k, j),
+// then divided by the diagonal: one Daxpy per coefficient and one Dscal
+// per column over B's long contiguous columns. An upper op(A) solves left
+// to right, a lower one right to left.
 func trsmUnbRight(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	switch {
-	case uplo == Upper && trans == NoTrans:
-		// X(:,j) = (B(:,j) - sum_{k<j} X(:,k) A(k,j)) / A(j,j)
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			for k := 0; k < j; k++ {
-				akj := a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= akj * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
+	upper := (uplo == Upper) == (trans == NoTrans)
+	for jj := 0; jj < n; jj++ {
+		j, lo, hi := jj, 0, jj
+		if !upper {
+			j, lo, hi = n-1-jj, n-jj, n
 		}
-	case uplo == Lower && trans == NoTrans:
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			for k := j + 1; k < n; k++ {
-				akj := a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= akj * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
+		bj := b[j*ldb : j*ldb+m]
+		for k := lo; k < hi; k++ {
+			Daxpy(m, -opElem(trans, a, lda, k, j), b[k*ldb:k*ldb+m], 1, bj, 1)
 		}
-	case uplo == Upper && trans == Trans:
-		// X * A^T = B with A upper => effective coefficient A(j,k) for k>j.
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			for k := j + 1; k < n; k++ {
-				ajk := a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= ajk * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
-		}
-	default: // Lower, Trans
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			for k := 0; k < j; k++ {
-				ajk := a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= ajk * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
+		if diag == NonUnit {
+			Dscal(m, 1/a[j*lda+j], bj, 1)
 		}
 	}
+}
+
+// opElem returns op(A)(i, j) of the column-major a.
+func opElem(trans Transpose, a []float64, lda, i, j int) float64 {
+	if trans == Trans {
+		return a[i*lda+j]
+	}
+	return a[j*lda+i]
 }
 
 // trmmUnbLeft computes B = alpha*op(A)*B in place for an m x m triangle,
@@ -189,93 +131,26 @@ func (t *triTile) mulLower(x *[triBase]float64) {
 	x[7] = t[7]*x0 + t[15]*x1 + t[23]*x2 + t[31]*x3 + t[39]*x4 + t[47]*x5 + t[55]*x6 + t[63]*x7
 }
 
-// trmmUnbRight computes B = alpha*B*op(A) in place for an n x n triangle,
-// processing columns in an order that reads only not-yet-overwritten ones.
+// trmmUnbRight computes B = alpha*B*op(A) in place for an n x n triangle:
+// column j becomes alpha*op(A)(j, j) times itself plus the other columns k
+// it depends on, each weighted by alpha*op(A)(k, j). Columns are processed
+// in an order that reads only not-yet-overwritten ones: right to left for
+// an upper op(A), left to right for a lower one.
 func trmmUnbRight(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	switch {
-	case uplo == Upper && trans == NoTrans:
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			diagV := 1.0
-			if diag == NonUnit {
-				diagV = a[j*lda+j]
-			}
-			for i := range bj {
-				bj[i] *= alpha * diagV
-			}
-			for k := 0; k < j; k++ {
-				akj := alpha * a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] += akj * bk[i]
-				}
-			}
+	upper := (uplo == Upper) == (trans == NoTrans)
+	for jj := 0; jj < n; jj++ {
+		j, lo, hi := n-1-jj, 0, n-1-jj
+		if !upper {
+			j, lo, hi = jj, jj+1, n
 		}
-	case uplo == Lower && trans == NoTrans:
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			diagV := 1.0
-			if diag == NonUnit {
-				diagV = a[j*lda+j]
-			}
-			for i := range bj {
-				bj[i] *= alpha * diagV
-			}
-			for k := j + 1; k < n; k++ {
-				akj := alpha * a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] += akj * bk[i]
-				}
-			}
+		bj := b[j*ldb : j*ldb+m]
+		d := alpha
+		if diag == NonUnit {
+			d *= a[j*lda+j]
 		}
-	case uplo == Upper && trans == Trans:
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			diagV := 1.0
-			if diag == NonUnit {
-				diagV = a[j*lda+j]
-			}
-			for i := range bj {
-				bj[i] *= alpha * diagV
-			}
-			for k := j + 1; k < n; k++ {
-				ajk := alpha * a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] += ajk * bk[i]
-				}
-			}
-		}
-	default: // Lower, Trans
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			diagV := 1.0
-			if diag == NonUnit {
-				diagV = a[j*lda+j]
-			}
-			for i := range bj {
-				bj[i] *= alpha * diagV
-			}
-			for k := 0; k < j; k++ {
-				ajk := alpha * a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] += ajk * bk[i]
-				}
-			}
+		Dscal(m, d, bj, 1)
+		for k := lo; k < hi; k++ {
+			Daxpy(m, alpha*opElem(trans, a, lda, k, j), b[k*ldb:k*ldb+m], 1, bj, 1)
 		}
 	}
 }

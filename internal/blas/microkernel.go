@@ -11,18 +11,23 @@ package blas
 // packed A strip and beta was applied by the driver, so kernels only ever
 // accumulate. Fringe tiles never reach a kernel directly: the macrokernel
 // routes them through a zeroed MRxNR buffer and masks the padding on
-// write-back, so kernels can assume a full tile unconditionally.
+// write-back, so kernels can assume a full tile unconditionally. The
+// assembly kernel also serves gemmInPlace: given A's leading dimension in
+// place of MR it reads an unpacked NoTrans A strip, and it scales the tile
+// by alpha as it adds it to C.
 
-// useAsmKernel selects the architecture-specific assembly microkernel.
+// useAsmKernel selects the architecture-specific assembly kernels: the
+// microkernel, its in-place-A entry (gemmInPlace) and the unit-stride
+// level-1 kernels behind Ddot, Daxpy, Dscal, Idamax and Dnrm2.
 // probeAsmKernel (defined per architecture) checks the CPU once at package
-// init; tests force the generic path through this variable.
+// init; tests force the Go paths through this variable.
 var useAsmKernel = probeAsmKernel()
 
 // gemmKernel dispatches one MR x NR tile update to the best available
 // implementation.
 func gemmKernel(kc int, a, b, c []float64, ldc int) {
 	if useAsmKernel {
-		gemmKernelAsm(kc, a, b, c, ldc)
+		gemmKernelAsm(kc, a, gemmMR, b, c, ldc, 1)
 		return
 	}
 	gemmKernelGeneric(kc, a, b, c, ldc)
@@ -117,13 +122,19 @@ func macroKernel(mc, nc, kc int, ap, bp, c []float64, ldc int) {
 			}
 			var tmp [gemmMR * gemmNR]float64
 			gemmKernel(kc, as, bs, tmp[:], gemmMR)
-			for j := 0; j < jb; j++ {
-				dst := c[(jr+j)*ldc+ir : (jr+j)*ldc+ir+ib]
-				src := tmp[j*gemmMR : j*gemmMR+ib]
-				for i, v := range src {
-					dst[i] += v
-				}
-			}
+			addTile(c[jr*ldc+ir:], ldc, &tmp, ib, jb)
+		}
+	}
+}
+
+// addTile adds the leading ib x jb block of the register tile tmp (leading
+// dimension gemmMR) to c.
+func addTile(c []float64, ldc int, tmp *[gemmMR * gemmNR]float64, ib, jb int) {
+	for j := 0; j < jb; j++ {
+		dst := c[j*ldc : j*ldc+ib]
+		src := tmp[j*gemmMR : j*gemmMR+ib]
+		for i, v := range src {
+			dst[i] += v
 		}
 	}
 }

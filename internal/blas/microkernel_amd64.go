@@ -2,10 +2,10 @@
 
 package blas
 
-// AVX2+FMA microkernel selection for amd64. The assembly kernel needs AVX2
-// (VBROADCASTSD/VADDPD on YMM), FMA3 and OS support for saving YMM state;
-// all three are probed once at init via CPUID/XGETBV and the dispatch falls
-// back to the generic Go kernel when anything is missing.
+// AVX2+FMA kernel selection for amd64. The assembly kernels need AVX2
+// (VBROADCASTSD and friends on YMM), FMA3 and OS support for saving YMM
+// state; all three are probed once at init via CPUID/XGETBV and the
+// dispatch falls back to the Go loops when anything is missing.
 
 const asmKernelName = "amd64-avx2-fma-8x4"
 
@@ -44,15 +44,35 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (requires OSXSAVE).
 func xgetbv0() (eax, edx uint32)
 
-// gemmKernel8x4Asm accumulates the 8x4 tile C[i + j*ldc] += sum_p
-// a[p*8+i]*b[p*4+j] with AVX2 FMA instructions. kc must be >= 1 and c must
-// address a full 8x4 tile (the macrokernel guarantees both).
+// gemmKernel8x4Asm accumulates the 8x4 tile C[i + j*ldc] += alpha * sum_p
+// a[p*lda+i]*b[p*4+j] with AVX2 FMA instructions. kc must be >= 1, a must
+// hold 8 readable doubles at every depth step and c must address a full
+// 8x4 tile (the callers guarantee all three).
 //
 //go:noescape
-func gemmKernel8x4Asm(kc int, a, b, c *float64, ldc int)
+func gemmKernel8x4Asm(kc int, a *float64, lda int, b, c *float64, ldc int, alpha float64)
 
 // gemmKernelAsm adapts the slice-based dispatch to the pointer-based
 // assembly routine.
-func gemmKernelAsm(kc int, a, b, c []float64, ldc int) {
-	gemmKernel8x4Asm(kc, &a[0], &b[0], &c[0], ldc)
+func gemmKernelAsm(kc int, a []float64, lda int, b, c []float64, ldc int, alpha float64) {
+	gemmKernel8x4Asm(kc, &a[0], lda, &b[0], &c[0], ldc, alpha)
 }
+
+// Unit-stride level-1 kernels (level1_amd64.s), selected by useAsmKernel
+// like the microkernel. Each works on len(x) elements; the callers slice y
+// to the same length.
+
+//go:noescape
+func ddotAsm(x, y []float64) float64
+
+//go:noescape
+func dsumAsm(x []float64) float64
+
+//go:noescape
+func daxpyAsm(alpha float64, x, y []float64)
+
+//go:noescape
+func dscalAsm(alpha float64, x []float64)
+
+//go:noescape
+func idamaxAsm(x []float64) int

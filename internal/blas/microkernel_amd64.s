@@ -3,24 +3,30 @@
 
 #include "textflag.h"
 
-// func gemmKernel8x4Asm(kc int, a, b, c *float64, ldc int)
+// func gemmKernel8x4Asm(kc int, a *float64, lda int, b, c *float64, ldc int, alpha float64)
 //
-// Accumulates C[i + j*ldc] += sum_p a[p*8+i] * b[p*4+j] for the full 8x4
-// register tile. a is a packed MR-strip (8 doubles per depth step,
-// contiguous), b a packed NR-strip (4 doubles per depth step, contiguous),
-// c column-major with leading dimension ldc (in elements).
+// Accumulates C[i + j*ldc] += alpha * sum_p a[p*lda+i] * b[p*4+j] for the
+// full 8x4 register tile. a holds 8 contiguous doubles per depth step,
+// lda (in elements) apart: a packed MR-strip has lda = 8, and a NoTrans A
+// read in place has its own leading dimension. b is a packed NR-strip (4
+// doubles per depth step, contiguous), c column-major with leading
+// dimension ldc (in elements). alpha scales the accumulated tile as it is
+// added to C with one FMA per element; with alpha = 1 that is exactly the
+// rounded sum C + tile.
 //
 // Register plan: Y0..Y7 are the eight 4-wide accumulators (two YMM per C
 // column), Y8/Y9 (and Y14/Y15 in the unrolled half) hold the current A
 // column pair, Y10..Y13 the broadcast B values. The k-loop is unrolled by
 // two so each accumulator's FMA chain has a full latency window between
 // updates.
-TEXT ·gemmKernel8x4Asm(SB), NOSPLIT, $0-40
+TEXT ·gemmKernel8x4Asm(SB), NOSPLIT, $0-56
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), DX
+	MOVQ lda+16(FP), R8
+	SHLQ $3, R8                // lda in bytes
+	MOVQ b+24(FP), BX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), DX
 	SHLQ $3, DX                // ldc in bytes
 
 	VXORPD Y0, Y0, Y0
@@ -41,6 +47,7 @@ loop2:
 	// Rank-1 update p.
 	VMOVUPD      (SI), Y8
 	VMOVUPD      32(SI), Y9
+	ADDQ         R8, SI
 	VBROADCASTSD (BX), Y10
 	VBROADCASTSD 8(BX), Y11
 	VBROADCASTSD 16(BX), Y12
@@ -55,8 +62,9 @@ loop2:
 	VFMADD231PD  Y9, Y13, Y7
 
 	// Rank-1 update p+1.
-	VMOVUPD      64(SI), Y14
-	VMOVUPD      96(SI), Y15
+	VMOVUPD      (SI), Y14
+	VMOVUPD      32(SI), Y15
+	ADDQ         R8, SI
 	VBROADCASTSD 32(BX), Y10
 	VBROADCASTSD 40(BX), Y11
 	VBROADCASTSD 48(BX), Y12
@@ -70,7 +78,6 @@ loop2:
 	VFMADD231PD  Y14, Y13, Y6
 	VFMADD231PD  Y15, Y13, Y7
 
-	ADDQ $128, SI
 	ADDQ $64, BX
 	DECQ CX
 	JNZ  loop2
@@ -94,26 +101,35 @@ tail:
 	VFMADD231PD  Y9, Y13, Y7
 
 write:
-	// C += accumulators, one column (two YMM) at a time.
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    DX, DI
-	VADDPD  (DI), Y2, Y2
-	VADDPD  32(DI), Y3, Y3
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ    DX, DI
-	VADDPD  (DI), Y4, Y4
-	VADDPD  32(DI), Y5, Y5
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ    DX, DI
-	VADDPD  (DI), Y6, Y6
-	VADDPD  32(DI), Y7, Y7
-	VMOVUPD Y6, (DI)
-	VMOVUPD Y7, 32(DI)
+	// C += alpha*accumulators, one column (two YMM) at a time.
+	VBROADCASTSD alpha+48(FP), Y8
+	VMOVUPD      (DI), Y9
+	VMOVUPD      32(DI), Y10
+	VFMADD231PD  Y0, Y8, Y9
+	VFMADD231PD  Y1, Y8, Y10
+	VMOVUPD      Y9, (DI)
+	VMOVUPD      Y10, 32(DI)
+	ADDQ         DX, DI
+	VMOVUPD      (DI), Y9
+	VMOVUPD      32(DI), Y10
+	VFMADD231PD  Y2, Y8, Y9
+	VFMADD231PD  Y3, Y8, Y10
+	VMOVUPD      Y9, (DI)
+	VMOVUPD      Y10, 32(DI)
+	ADDQ         DX, DI
+	VMOVUPD      (DI), Y9
+	VMOVUPD      32(DI), Y10
+	VFMADD231PD  Y4, Y8, Y9
+	VFMADD231PD  Y5, Y8, Y10
+	VMOVUPD      Y9, (DI)
+	VMOVUPD      Y10, 32(DI)
+	ADDQ         DX, DI
+	VMOVUPD      (DI), Y9
+	VMOVUPD      32(DI), Y10
+	VFMADD231PD  Y6, Y8, Y9
+	VFMADD231PD  Y7, Y8, Y10
+	VMOVUPD      Y9, (DI)
+	VMOVUPD      Y10, 32(DI)
 	VZEROUPPER
 	RET
 

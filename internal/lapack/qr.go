@@ -49,32 +49,30 @@ func GEQR2(a *matrix.Dense, tau []float64) {
 	if len(tau) != k {
 		panic(fmt.Errorf("%w: GEQR2 tau length %d want %d", ErrShape, len(tau), k))
 	}
-	work := make([]float64, n)
 	for j := 0; j < k; j++ {
 		col := a.Col(j)
 		beta, t := Larfg(col[j], col[j+1:m])
 		tau[j] = t
 		col[j] = beta
 		if j < n-1 && t != 0 {
-			applyReflectorLeft(a, j, t, work)
+			applyReflectorLeft(a, j, t)
 		}
 	}
 }
 
 // applyReflectorLeft applies H = I - tau*v*v^T (v stored in column j of a,
-// rows j..m with implicit v[j] = 1) to a(j:m, j+1:n) from the left.
-func applyReflectorLeft(a *matrix.Dense, j int, tau float64, work []float64) {
-	m, n := a.Rows, a.Cols
-	rows := m - j
-	cols := n - j - 1
+// rows j..m with implicit v[j] = 1) to a(j:m, j+1:n) from the left. Each
+// column c is updated while it is still in cache from its own dot product:
+// c -= tau*(v^T c)*v, one Ddot and one Daxpy.
+func applyReflectorLeft(a *matrix.Dense, j int, tau float64) {
+	m := a.Rows
 	v := a.Col(j)[j:m]
 	save := v[0]
 	v[0] = 1
-	// work = A^T v ; A := A - tau * v * work^T
-	sub := a.View(j, j+1, rows, cols)
-	w := work[:cols]
-	blas.Dgemv(blas.Trans, rows, cols, 1, sub.Data, sub.Stride, v, 1, 0, w, 1)
-	blas.Dger(rows, cols, -tau, v, 1, w, 1, sub.Data, sub.Stride)
+	for c := j + 1; c < a.Cols; c++ {
+		col := a.Col(c)[j:m]
+		blas.Daxpy(len(v), -tau*blas.Ddot(len(v), v, 1, col, 1), v, 1, col, 1)
+	}
 	v[0] = save
 }
 

@@ -178,13 +178,11 @@ func Leaf(block *matrix.Dense, rowOffset int) *Candidates {
 	k := min(mb, b)
 	ipiv := make([]int, k)
 	_ = lapack.RGETF2(fac, ipiv) // leaf rank deficiency is handled at the root
-	idx := make([]int, mb)
-	for i := range idx {
-		idx[i] = rowOffset + i
-	}
-	applyIpivToIndex(idx, ipiv)
-	c := buildCandidates(block, fac, ipiv, idx, k)
+	c := buildCandidates(block, fac, ipiv)
 	scratch.Release(fac)
+	for j := range c.Idx {
+		c.Idx[j] += rowOffset
+	}
 	return c
 }
 
@@ -221,43 +219,43 @@ func MergeMany(cs []*Candidates) *Candidates {
 	}
 	fac := scratch.Dense(total, b)
 	fac.CopyFrom(stacked)
-	k := min(total, b)
-	ipiv := make([]int, k)
+	ipiv := make([]int, min(total, b))
 	_ = lapack.RGETF2(fac, ipiv)
-	applyIpivToIndex(idx, ipiv)
-	c := buildCandidates(stacked, fac, ipiv, idx, k)
+	c := buildCandidates(stacked, fac, ipiv)
 	scratch.Release(fac)
 	scratch.Release(stacked)
+	for j, p := range c.Idx {
+		c.Idx[j] = idx[p]
+	}
 	return c
 }
 
 // buildCandidates assembles the result of one tournament round. input holds
-// the round's rows in pre-pivot order, fac the in-place GEPP factor, ipiv
-// the interchanges GEPP performed, and idx the global indices already in
-// pivot order. The winners' original values are obtained by replaying the
-// same interchanges on a copy of input.
-// The workspaces are pooled: perm is released here, while input and fac
-// belong to the caller (everything retained in the result is Clone()d out).
-func buildCandidates(input, fac *matrix.Dense, ipiv, idx []int, k int) *Candidates {
-	b := input.Cols
-	perm := scratch.Dense(input.Rows, b)
-	perm.CopyFrom(input)
-	lapack.LASWP(perm, ipiv, 0, len(ipiv))
-	c := &Candidates{
-		Rows: perm.View(0, 0, k, b).Clone(),
-		Idx:  idx[:k:k],
-		Fac:  fac.View(0, 0, k, b).Clone(),
+// the round's rows in pre-pivot order, fac the in-place GEPP factor and
+// ipiv the interchanges GEPP performed. Replaying ipiv on a position array
+// names the input row that ended up in each of the first k = len(ipiv)
+// positions, and only those k winner rows are copied out of input. The
+// result's Idx holds those input positions; the caller maps them to global
+// row indices. input and fac belong to the caller (everything retained in
+// the result is copied out).
+func buildCandidates(input, fac *matrix.Dense, ipiv []int) *Candidates {
+	k, b := len(ipiv), input.Cols
+	pos := make([]int, input.Rows)
+	for i := range pos {
+		pos[i] = i
 	}
-	scratch.Release(perm)
-	return c
-}
-
-// applyIpivToIndex replays LAPACK-style sequential row interchanges on an
-// index array.
-func applyIpivToIndex(idx []int, ipiv []int) {
-	for k, p := range ipiv {
-		idx[k], idx[p] = idx[p], idx[k]
+	for j, p := range ipiv {
+		pos[j], pos[p] = pos[p], pos[j]
 	}
+	win := pos[:k:k]
+	rows := matrix.New(k, b)
+	for c := 0; c < b; c++ {
+		src, dst := input.Col(c), rows.Col(c)
+		for j, p := range win {
+			dst[j] = src[p]
+		}
+	}
+	return &Candidates{Rows: rows, Idx: win, Fac: fac.View(0, 0, k, b).Clone()}
 }
 
 // Partition splits rows [0, m) into tr contiguous block rows using the

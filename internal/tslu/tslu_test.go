@@ -199,6 +199,65 @@ func TestMergePrefersLargerPivots(t *testing.T) {
 	}
 }
 
+// TestRoundCandidatesMatchGEPP pins what a tournament round hands on,
+// for a leaf and for a merge of leaves: with the round's GEPP interchanges
+// turned into a permutation perm, winner j is input row perm[j] — Idx
+// names it globally and Rows holds its original values — and Fac is the
+// leading k rows of the GEPP factor. All three must match exactly.
+func TestRoundCandidatesMatchGEPP(t *testing.T) {
+	const b = 12
+	panel := matrix.Random(300, b, 17)
+	blocks := Partition(300, 3)
+	leaves := make([]*Candidates, len(blocks))
+	var stacked []*matrix.Dense
+	var stackedIdx []int
+	for i, blk := range blocks {
+		block := panel.View(blk[0], 0, blk[1]-blk[0], b)
+		leaves[i] = Leaf(block, blk[0])
+		global := make([]int, block.Rows)
+		for r := range global {
+			global[r] = blk[0] + r
+		}
+		checkRound(t, "leaf", leaves[i], block, global)
+		stacked = append(stacked, leaves[i].Rows)
+		stackedIdx = append(stackedIdx, leaves[i].Idx...)
+	}
+	in := matrix.New(len(stackedIdx), b)
+	at := 0
+	for _, r := range stacked {
+		in.View(at, 0, r.Rows, b).CopyFrom(r)
+		at += r.Rows
+	}
+	checkRound(t, "merge", MergeMany(leaves), in, stackedIdx)
+}
+
+// checkRound compares one round's candidates against a GEPP of its input
+// rows, whose global row indices are global.
+func checkRound(t *testing.T, what string, c *Candidates, input *matrix.Dense, global []int) {
+	t.Helper()
+	fac := input.Clone()
+	ipiv := make([]int, min(fac.Rows, fac.Cols))
+	_ = lapack.RGETF2(fac, ipiv)
+	perm := lapack.IpivToPerm(ipiv, input.Rows)
+	k := len(ipiv)
+	if len(c.Idx) != k || c.Rows.Rows != k || c.Fac.Rows != k {
+		t.Fatalf("%s: %d/%d/%d winners, want %d", what, len(c.Idx), c.Rows.Rows, c.Fac.Rows, k)
+	}
+	for j := 0; j < k; j++ {
+		if c.Idx[j] != global[perm[j]] {
+			t.Fatalf("%s: Idx[%d] = %d, want %d", what, j, c.Idx[j], global[perm[j]])
+		}
+		for col := 0; col < input.Cols; col++ {
+			if c.Rows.At(j, col) != input.At(perm[j], col) {
+				t.Fatalf("%s: Rows(%d, %d) = %v, want input row %d's %v", what, j, col, c.Rows.At(j, col), perm[j], input.At(perm[j], col))
+			}
+			if c.Fac.At(j, col) != fac.At(j, col) {
+				t.Fatalf("%s: Fac(%d, %d) = %v, want %v", what, j, col, c.Fac.At(j, col), fac.At(j, col))
+			}
+		}
+	}
+}
+
 func TestReduceBinaryOddLeafCount(t *testing.T) {
 	// 5 leaves: the binary reduction must handle the odd tail.
 	panel := matrix.Random(50, 6, 13)
