@@ -44,7 +44,8 @@ type GemmCase struct {
 // CALU or CAQR task body issues, timed on the recursive packed driver and
 // on the frozen reference.
 type TriCase struct {
-	// Name labels the task shape (calu-L, calu-U, larfb-trmm).
+	// Name labels the task shape (calu-L, calu-U, larfb-trmm, larfb-t,
+	// larfb-v1w).
 	Name string `json:"name"`
 	// Routine is "trsm" or "trmm"; Variant spells side, uplo, trans and
 	// diag as BLAS letters (for example "RUNN": Right, Upper, NoTrans,
@@ -116,8 +117,8 @@ var gemmShapes = []struct {
 
 // triShapes are the triangular calls inside the factorization tasks:
 // CALU's L block (X·U = A below the panel's composite), its U block
-// (L\A right of the panel) and the Vᵀ-triangle product that opens every
-// Larfb (CAQR S tasks, GEQR3 nodes).
+// (L\A right of the panel) and the three products of every Larfb (CAQR S
+// tasks, GEQR3 nodes): V1ᵀ·C1 that opens it, Tᵀ·W and the closing V1·W.
 var triShapes = []struct {
 	name, routine, variant string
 	side                   blas.Side
@@ -129,6 +130,8 @@ var triShapes = []struct {
 	{"calu-L", "trsm", "RUNN", blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 2500, 100},
 	{"calu-U", "trsm", "LLNU", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
 	{"larfb-trmm", "trmm", "LLTU", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
+	{"larfb-t", "trmm", "LUTN", blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 100, 100},
+	{"larfb-v1w", "trmm", "LLNU", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
 }
 
 // triKernel is a Dtrsm/Dtrmm-shaped routine.

@@ -112,17 +112,29 @@ func TestDtrsmZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDtrmmZeroAlloc is the Dtrmm counterpart, on the Larfb shape.
+// TestDtrmmZeroAlloc is the Dtrmm counterpart: every Left variant at
+// Larfb's order 100 (the packed pass, whose packed triangle and B block
+// come from internal/scratch and whose fringe tiles live on the stack),
+// against Larfb's 100 columns and a width past the pass's column block.
 func TestDtrmmZeroAlloc(t *testing.T) {
-	const n = 100
-	a, b := dominantTriangle(n, n*n)
-	run := func() {
-		Dtrmm(Left, Lower, Trans, Unit, n, n, 1, a, n, b, n)
-	}
-	run()
-	run()
-	if avg := testing.AllocsPerRun(10, run); avg != 0 {
-		t.Fatalf("Dtrmm(%d×%d) allocates %.1f objects per call in steady state, want 0", n, n, avg)
+	const m = 100
+	for _, n := range []int{m, trmmPassNC + 3} {
+		a, b := dominantTriangle(m, m*n)
+		for _, uplo := range []Uplo{Upper, Lower} {
+			for _, trans := range []Transpose{NoTrans, Trans} {
+				for _, diag := range []Diag{NonUnit, Unit} {
+					run := func() {
+						Dtrmm(Left, uplo, trans, diag, m, n, 1, a, m, b, m)
+					}
+					run()
+					run()
+					if avg := testing.AllocsPerRun(10, run); avg != 0 {
+						t.Fatalf("Dtrmm(Left, %v, %v, %v, %d×%d) allocates %.1f objects per call in steady state, want 0",
+							uplo, trans, diag, m, n, avg)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -137,9 +137,10 @@ func TestDgemmDifferential(t *testing.T) {
 }
 
 // triSizes cross the recursive drivers' order-8 base and their split
-// points (multiples of 8) on both sides, and the narrow right-hand sides
+// points (multiples of 8) on both sides, the order-128 limit of the Left
+// Dtrmm's packed pass on both sides, and the narrow right-hand sides
 // (n <= 32) whose off-diagonal updates read A in place.
-var triSizes = []int{1, 2, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 100, 130}
+var triSizes = []int{1, 2, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 100, 127, 128, 129, 130}
 
 // triShape is one triangular call the factorizations issue: side, uplo,
 // trans and diag fixed, m x n right-hand side.
@@ -153,11 +154,14 @@ type triShape struct {
 }
 
 // triProduction are the task-body shapes appended to the differential
-// sweeps: CALU's L and U blocks and the Vᵀ-triangle product of Larfb.
+// sweeps: CALU's L and U blocks, the Vᵀ-triangle product of Larfb, and the
+// same product on GEQRF's first trailing update of a 768² matrix, wider
+// than the packed pass's column block of B.
 var triProduction = []triShape{
 	{"calu-L", blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 2500, 100},
 	{"calu-U", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
 	{"larfb-trmm", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
+	{"larfb-wide", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 700},
 }
 
 // order is the order of the triangle: m on the Left, n on the Right.
@@ -246,14 +250,27 @@ func TestDtrmmDifferential(t *testing.T) {
 
 // triOperands draws one differential case's operands: a well-conditioned
 // triangle of the side's order and a right-hand side, with 0-3 rows of
-// leading-dimension slack and alpha cycling through {1, -0.6, 1.8}.
+// leading-dimension slack and alpha cycling through {1, -0.6, 1.8}. Every
+// entry of A that op(A) does not reference holds NaN: the other triangle,
+// the slack rows and, for Unit, the stored diagonal. A kernel that reads
+// one of them, even to multiply it by zero, puts NaN into B.
 func triOperands(c triShape, caseIdx int, r *lcg) (a []float64, lda int, b []float64, ldb int, alpha float64) {
 	na := c.order()
 	ldSlack := caseIdx % 4
 	lda = na + ldSlack
 	ldb = c.m + ldSlack
 	alpha = []float64{1, -0.6, 1.8}[caseIdx%3]
-	return wellConditioned(na, lda, r), lda, randSlice(ldb*c.n, r), ldb, alpha
+	a = wellConditioned(na, lda, r)
+	for j := 0; j < na; j++ {
+		for i := 0; i < lda; i++ {
+			referenced := i < na && (i < j && c.uplo == blas.Upper || i > j && c.uplo == blas.Lower ||
+				i == j && c.diag == blas.NonUnit)
+			if !referenced {
+				a[j*lda+i] = math.NaN()
+			}
+		}
+	}
+	return a, lda, randSlice(ldb*c.n, r), ldb, alpha
 }
 
 // vecLengths are the level-1/2 sweep lengths: every length 0..33 (each

@@ -10,11 +10,13 @@ import (
 // in doc/KERNELS.md: the driver validates shapes, applies beta, then loops
 // pack -> macrokernel over cache-sized blocks, with the pack buffers
 // recycled through internal/scratch. Dtrsm and Dtrmm are recursive drivers
-// that halve the triangle until it fits one register tile, solve/multiply
-// those with the unblocked kernels in level3unb.go and push all
-// off-diagonal work through Dgemm, so every BLAS3 routine's bulk flops run
-// on the one packed kernel path. The pre-refactor unpacked kernels live on
-// as baseline.RefGemm/RefTrsm/RefTrmm, the differential-testing references.
+// that halve the triangle and push all off-diagonal work through Dgemm.
+// Dtrsm and the Right-side Dtrmm halve down to one register tile and
+// solve/multiply those with the unblocked kernels in level3unb.go; the
+// Left-side Dtrmm stops at order trmmPassMax and multiplies the rest in
+// one packed pass (trmmpass.go). So every BLAS3 routine's bulk flops run
+// on the one microkernel. The pre-refactor unpacked kernels live on as
+// baseline.RefGemm/RefTrsm/RefTrmm, the differential-testing references.
 
 // Register tile of the packed microkernel. These are fixed by the kernel
 // implementations (microkernel.go, microkernel_amd64.s); the cache block
@@ -218,10 +220,10 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 	trsmRight(uplo, trans, diag, m, n, a, lda, b, ldb)
 }
 
-// triBase is the largest triangle the recursive Dtrsm/Dtrmm drivers hand
-// to the unblocked kernels: one MR register tile, below which a packed
-// Dgemm would mostly multiply its own zero padding. The unrolled kernels in
-// level3unb.go are written for exactly this order.
+// triBase is the largest triangle that the recursive Dtrsm and the
+// Right-side Dtrmm hand to the unblocked kernels in level3unb.go: one MR
+// register tile, below which a packed Dgemm would mostly multiply its own
+// zero padding.
 const triBase = 8
 
 // triSplit returns the order of the leading diagonal block when a triangle
@@ -292,9 +294,18 @@ func trsmRight(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda
 
 // Dtrmm computes B = alpha*op(A)*B (side == Left) or B = alpha*B*op(A)
 // (side == Right) for triangular A, overwriting B. Like Dtrsm, the driver
-// halves the triangle recursively: the diagonal blocks recurse down to the
-// unblocked kernels and each off-diagonal contribution is one packed Dgemm,
-// ordered so it reads only not-yet-overwritten parts of B.
+// halves the triangle recursively, and each off-diagonal contribution is
+// one packed Dgemm, ordered so it reads only not-yet-overwritten parts of
+// B. On the Right the diagonal blocks recurse down to the unblocked
+// kernels. On the Left a triangle of order <= 128 (trmmPassMax) is one
+// packed pass on the microkernel (trmmPass), which covers every Left
+// Dtrmm of lapack.Larfb, GEQR3, TPMQRT and TTMQRT at block sizes up to
+// 128. op(A)'s other triangle is never read, and neither is the diagonal
+// when diag is Unit. The pass multiplies each 8-row strip of op(A) by B
+// over a depth range that includes the strip's diagonal block, zeros and
+// all, so an Inf or NaN in B may spread as NaN to the other rows of its
+// 8-row strip. The factorizations never pass one: core's Prepare rejects
+// non-finite input, and every ABFT check compares with !(x <= tol).
 func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
 	if side == Right {
@@ -313,12 +324,14 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 	trmmRight(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 }
 
-// trmmLeft computes B = alpha*op(A)*B in place. With op(A) upper, B1 =
-// alpha*(A11*B1 + A12*B2) is formed first, while B2 still holds its input;
-// with op(A) lower, B2 = alpha*(A21*B1 + A22*B2) goes first.
+// trmmLeft computes B = alpha*op(A)*B in place. A triangle of order at
+// most trmmPassMax is one packed pass (trmmPass); a larger one is halved.
+// With op(A) upper, B1 = alpha*(A11*B1 + A12*B2) is formed first, while B2
+// still holds its input; with op(A) lower, B2 = alpha*(A21*B1 + A22*B2)
+// goes first.
 func trmmLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	if m <= triBase {
-		trmmUnbLeft(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	if m <= trmmPassMax {
+		trmmPass(uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 		return
 	}
 	m1 := triSplit(m)

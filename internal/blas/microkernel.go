@@ -115,16 +115,22 @@ func macroKernel(mc, nc, kc int, ap, bp, c []float64, ldc int) {
 		bs := bp[jr*kc : jr*kc+gemmNR*kc]
 		for ir := 0; ir < mc; ir += gemmMR {
 			ib := min(gemmMR, mc-ir)
-			as := ap[ir*kc : ir*kc+gemmMR*kc]
-			if ib == gemmMR && jb == gemmNR {
-				gemmKernel(kc, as, bs, c[jr*ldc+ir:], ldc)
-				continue
-			}
-			var tmp [gemmMR * gemmNR]float64
-			gemmKernel(kc, as, bs, tmp[:], gemmMR)
-			addTile(c[jr*ldc+ir:], ldc, &tmp, ib, jb)
+			kernelTile(kc, ap[ir*kc:ir*kc+gemmMR*kc], bs, c[jr*ldc+ir:], ldc, ib, jb)
 		}
 	}
+}
+
+// kernelTile adds the product of the packed strips as and bs (depth kc) to
+// the ib x jb tile of C at c: a full tile in place, a fringe tile through
+// a zeroed MR x NR buffer whose valid region is then added to C.
+func kernelTile(kc int, as, bs, c []float64, ldc, ib, jb int) {
+	if ib == gemmMR && jb == gemmNR {
+		gemmKernel(kc, as, bs, c, ldc)
+		return
+	}
+	var tmp [gemmMR * gemmNR]float64
+	gemmKernel(kc, as, bs, tmp[:], gemmMR)
+	addTile(c, ldc, &tmp, ib, jb)
 }
 
 // addTile adds the leading ib x jb block of the register tile tmp (leading

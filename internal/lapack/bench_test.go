@@ -3,6 +3,7 @@ package lapack
 import (
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 )
 
@@ -63,4 +64,51 @@ func BenchmarkGEQR2Base(b *testing.B) {
 func BenchmarkGETF2Base(b *testing.B) {
 	ipiv := make([]int, baseCols)
 	benchPanel(b, leafRows, baseCols, luFlops(leafRows, baseCols), func(a *matrix.Dense) { _ = GETF2(a, ipiv) })
+}
+
+// Update-task benchmarks: one CAQR S task of the square QR workload (768²,
+// b = 100, Tr = 4), Larfb applying Qᵀ of a panel block to the matching
+// rows of a 100-column block of the trailing matrix. The rate uses core's
+// S-task flop count 4·m·k·n for an m x k V and n columns.
+
+// squareLeafRows is the height of a first-panel leaf on the square
+// workload: 768 rows over Tr = 4.
+const squareLeafRows = 192
+
+// benchLarfb times Larfb(Trans, v, t, c) on a seeded n-column C. Qᵀ is
+// orthogonal, so applying it over and over keeps C's scale.
+func benchLarfb(b *testing.B, v, t *matrix.Dense, n int) {
+	b.Helper()
+	c := matrix.Random(v.Rows, n, 12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Larfb(blas.Trans, v, t, c)
+	}
+	flops := 4 * float64(v.Rows) * float64(v.Cols) * float64(n)
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
+// BenchmarkLarfbLeaf is a leaf S task: V from GEQR3 on a 192 x 100 leaf.
+func BenchmarkLarfbLeaf(b *testing.B) {
+	v := matrix.Random(squareLeafRows, leafCols, 13)
+	t := matrix.New(leafCols, leafCols)
+	GEQR3(v, make([]float64, leafCols), t)
+	benchLarfb(b, v, t, leafCols)
+}
+
+// BenchmarkLarfbNode is a tree S task: V from the dense QR of two stacked
+// 100 x 100 upper triangles, as a two-carrier TSQR merge factors them.
+func BenchmarkLarfbNode(b *testing.B) {
+	v := matrix.Random(2*leafCols, leafCols, 14)
+	for j := 0; j < leafCols; j++ {
+		col := v.Col(j)
+		for i := range col {
+			if i%leafCols > j {
+				col[i] = 0
+			}
+		}
+	}
+	t := matrix.New(leafCols, leafCols)
+	GEQR3(v, make([]float64, leafCols), t)
+	benchLarfb(b, v, t, leafCols)
 }

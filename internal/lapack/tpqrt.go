@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/scratch"
 )
 
 // TPQRT computes the QR factorization of the stacked pair
@@ -99,8 +100,10 @@ func TPMQRT(trans blas.Transpose, v, t, c1, c2 *matrix.Dense) {
 	if n == 0 || bw == 0 {
 		return
 	}
-	// W = C1 + V2^T C2.
-	w := c1.Clone()
+	// W = C1 + V2^T C2, in pooled workspace as in Larfb.
+	w := scratch.Dense(bw, n)
+	defer scratch.Release(w)
+	w.CopyFrom(c1)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, v, c2, 1, w)
 	// W = op(T) W. Q = I - V T V^T, so Q uses T and Q^T uses T^T.
 	tOp := blas.NoTrans
@@ -197,13 +200,17 @@ func TTMQRT(trans blas.Transpose, v2, t, c1, c2 *matrix.Dense) {
 	if c1.Cols != c2.Cols {
 		panic(fmt.Errorf("%w: TTMQRT C1/C2 col mismatch %d vs %d", ErrShape, c1.Cols, c2.Cols))
 	}
-	if c1.Cols == 0 || bw == 0 {
+	n := c1.Cols
+	if n == 0 || bw == 0 {
 		return
 	}
-	// W = C1 + V2^T C2; V2 is upper triangular with explicit diagonal.
-	w := c2.Clone()
+	// W = C1 + V2^T C2; V2 is upper triangular with explicit diagonal. W
+	// is pooled workspace, as in Larfb.
+	w := scratch.Dense(bw, n)
+	defer scratch.Release(w)
+	w.CopyFrom(c2)
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
-	for j := 0; j < w.Cols; j++ {
+	for j := 0; j < n; j++ {
 		wj, cj := w.Col(j), c1.Col(j)
 		for i := range wj {
 			wj[i] += cj[i]
@@ -215,16 +222,15 @@ func TTMQRT(trans blas.Transpose, v2, t, c1, c2 *matrix.Dense) {
 	}
 	blas.Trmm(blas.Left, blas.Upper, tOp, blas.NonUnit, 1, t, w)
 	// C1 -= W; C2 -= V2 W.
-	for j := 0; j < w.Cols; j++ {
+	for j := 0; j < n; j++ {
 		wj, cj := w.Col(j), c1.Col(j)
 		for i := range wj {
 			cj[i] -= wj[i]
 		}
 	}
-	v2w := w // reuse: W no longer needed after this
-	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, v2w)
-	for j := 0; j < w.Cols; j++ {
-		wj, cj := v2w.Col(j), c2.Col(j)
+	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)
+	for j := 0; j < n; j++ {
+		wj, cj := w.Col(j), c2.Col(j)
 		for i := range wj {
 			cj[i] -= wj[i]
 		}
