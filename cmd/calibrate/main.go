@@ -80,7 +80,7 @@ func main() {
 func tuneBlocks(n int) {
 	mcGrid := []int{64, 96, 128, 192, 256}
 	kcGrid := []int{128, 192, 256, 384, 512}
-	ncGrid := []int{1024, 2048, 4096}
+	ncGrid := []int{1020, 2040, 4092} // multiples of the 12-column register tile
 	origMC, origKC, origNC := blas.BlockSizes()
 	defer func() {
 		if err := blas.SetBlockSizes(origMC, origKC, origNC); err != nil {

@@ -93,9 +93,10 @@ type GemmReport struct {
 	EngineReuse EngineReuseResult `json:"engine_reuse"`
 }
 
-// gemmShapes are the trajectory points: the square sweep the issue names,
+// gemmShapes are the trajectory points: the 128-1024 square sweep,
 // the panel shapes CALU/CAQR trailing updates issue (tall A against a
-// narrow panel, and a rank-b trailing update), and the Larfb block-reflector
+// narrow panel, a rank-b trailing update, and the square S(LU) task at
+// Tr = 4, whose n = 100 ends in a fringe tile), and the Larfb block-reflector
 // shapes (W = Vᵀ·C against a tall-skinny V, the C -= V·W rank-b apply, and
 // the small T-sized triangle product) the QR update path spends its time in.
 var gemmShapes = []struct {
@@ -110,6 +111,7 @@ var gemmShapes = []struct {
 	{"panel-tall-update", blas.NoTrans, 1024, 128, 128},
 	{"panel-wide-update", blas.NoTrans, 128, 1024, 128},
 	{"trailing-rank100", blas.NoTrans, 900, 900, 100},
+	{"s-task", blas.NoTrans, 231, 100, 100},
 	{"larfb-vtc", blas.Trans, 64, 256, 1984},
 	{"larfb-cvw", blas.NoTrans, 1984, 256, 64},
 	{"larfb-small-t", blas.NoTrans, 64, 256, 64},

@@ -12,10 +12,21 @@ import (
 	"repro/internal/scratch"
 )
 
+// onEveryTile runs f once per register tile this host can run, each as a
+// subtest named after its tile.
+func onEveryTile(t *testing.T, f func(t *testing.T)) {
+	for _, name := range Tiles() {
+		t.Run(name, func(t *testing.T) {
+			defer ForceTile(name)()
+			f(t)
+		})
+	}
+}
+
 // TestDgemmZeroAlloc pins the packed Dgemm steady state to zero heap
-// allocations: pack buffers come from internal/scratch and go back, and the
-// box-pooled headers make the round trip free. This is the runtime
-// complement of calint's hotpath-alloc check.
+// allocations on every tile: pack buffers come from internal/scratch and
+// go back, and the box-pooled headers make the round trip free. This is
+// the runtime complement of calint's hotpath-alloc check.
 func TestDgemmZeroAlloc(t *testing.T) {
 	const n = 512
 	a := make([]float64, n*n)
@@ -28,20 +39,22 @@ func TestDgemmZeroAlloc(t *testing.T) {
 	run := func() {
 		Dgemm(NoTrans, NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c, n)
 	}
-	// Warm the scratch pools (first run allocates the pack buffers and
-	// their header boxes; every later run reuses them).
-	run()
-	run()
-	if avg := testing.AllocsPerRun(10, run); avg != 0 {
-		t.Fatalf("Dgemm(%d×%d) allocates %.1f objects per call in steady state, want 0", n, n, avg)
-	}
+	onEveryTile(t, func(t *testing.T) {
+		// Warm the scratch pools (first run allocates the pack buffers and
+		// their header boxes; every later run reuses them).
+		run()
+		run()
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
+			t.Fatalf("Dgemm(%d×%d) allocates %.1f objects per call in steady state, want 0", n, n, avg)
+		}
+	})
 }
 
-// TestGemmInPlaceZeroAlloc pins Dgemm's in-place-A path (gemmInPlace,
-// taken on AVX2+FMA hosts) to zero steady-state allocations on GEQR3's
-// C2 -= V2*W shape at the tall leaf, with fringe rows and an NR fringe
-// column so every branch runs: packed B and the fringe rows' packed A come
-// from internal/scratch, and the fringe tile lives on the stack.
+// TestGemmInPlaceZeroAlloc pins Dgemm's in-place-A path (gemmInPlace) to
+// zero steady-state allocations on every tile, on GEQR3's C2 -= V2*W shape
+// at the tall leaf, with fringe rows and an NR fringe column so every
+// branch runs: packed B and the fringe rows' packed A come from
+// internal/scratch, and the fringe tile lives on the stack.
 func TestGemmInPlaceZeroAlloc(t *testing.T) {
 	const m, n, k = 2503, 51, 48
 	a := make([]float64, m*k)
@@ -56,11 +69,13 @@ func TestGemmInPlaceZeroAlloc(t *testing.T) {
 	run := func() {
 		Dgemm(NoTrans, NoTrans, m, n, k, -1, a, m, b, k, 0, c, m)
 	}
-	run()
-	run()
-	if avg := testing.AllocsPerRun(10, run); avg != 0 {
-		t.Fatalf("Dgemm(%d×%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, k, avg)
-	}
+	onEveryTile(t, func(t *testing.T) {
+		run()
+		run()
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
+			t.Fatalf("Dgemm(%d×%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, k, avg)
+		}
+	})
 }
 
 // TestLevel12ZeroAlloc pins the level-1 and level-2 routines behind the
@@ -115,27 +130,30 @@ func TestDtrsmZeroAlloc(t *testing.T) {
 // TestDtrmmZeroAlloc is the Dtrmm counterpart: every Left variant at
 // Larfb's order 100 (the packed pass, whose packed triangle and B block
 // come from internal/scratch and whose fringe tiles live on the stack),
-// against Larfb's 100 columns and a width past the pass's column block.
+// against Larfb's 100 columns and a width past the pass's column block,
+// on every tile.
 func TestDtrmmZeroAlloc(t *testing.T) {
 	const m = 100
-	for _, n := range []int{m, trmmPassNC + 3} {
-		a, b := dominantTriangle(m, m*n)
-		for _, uplo := range []Uplo{Upper, Lower} {
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				for _, diag := range []Diag{NonUnit, Unit} {
-					run := func() {
-						Dtrmm(Left, uplo, trans, diag, m, n, 1, a, m, b, m)
-					}
-					run()
-					run()
-					if avg := testing.AllocsPerRun(10, run); avg != 0 {
-						t.Fatalf("Dtrmm(Left, %v, %v, %v, %d×%d) allocates %.1f objects per call in steady state, want 0",
-							uplo, trans, diag, m, n, avg)
+	onEveryTile(t, func(t *testing.T) {
+		for _, n := range []int{m, trmmPassNC + 3} {
+			a, b := dominantTriangle(m, m*n)
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, trans := range []Transpose{NoTrans, Trans} {
+					for _, diag := range []Diag{NonUnit, Unit} {
+						run := func() {
+							Dtrmm(Left, uplo, trans, diag, m, n, 1, a, m, b, m)
+						}
+						run()
+						run()
+						if avg := testing.AllocsPerRun(10, run); avg != 0 {
+							t.Fatalf("Dtrmm(Left, %v, %v, %v, %d×%d) allocates %.1f objects per call in steady state, want 0",
+								uplo, trans, diag, m, n, avg)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // dominantTriangle returns an n x n triangle-bearing matrix with a dominant

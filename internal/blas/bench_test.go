@@ -28,6 +28,11 @@ func BenchmarkDgemmSquare512(b *testing.B)  { benchGemm(b, 512, 512, 512) }
 func BenchmarkDgemmTallUpdate(b *testing.B) { benchGemm(b, 4096, 100, 100) }
 func BenchmarkDgemmWideK(b *testing.B)      { benchGemm(b, 128, 128, 2048) }
 
+// BenchmarkDgemmSTask is the square S(LU) task at Tr = 4: a 231-row block
+// of L times a 100-column block of U, whose n = 100 ends in a 4-column
+// fringe tile.
+func BenchmarkDgemmSTask(b *testing.B) { benchGemm(b, 231, 100, 100) }
+
 func BenchmarkDtrsmRightUpper(b *testing.B) {
 	// The CALU task-L kernel shape: tall block against a b x b triangle.
 	tri := matrix.Random(100, 100, 3)

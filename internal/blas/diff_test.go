@@ -2,14 +2,15 @@ package blas_test
 
 // Randomized differential tests pitting the packed Level 3 kernels against
 // the frozen pre-refactor references in internal/baseline, and the level-1
-// and level-2 routines against naive loops. Every case runs on both kernel
-// paths (assembly when the host supports it, and the forced Go loops), with
-// lda/ldb slack or guard cells so out-of-bounds writes are caught by
-// whole-slice comparison.
+// and level-2 routines against naive loops. Every Level 3 case runs on
+// every register tile the host can run, every level-1/2 case on both the
+// assembly and the Go loops, with lda/ldb slack or guard cells so
+// out-of-bounds writes are caught by whole-slice comparison.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -33,15 +34,28 @@ func randSlice(n int, r *lcg) []float64 {
 	return s
 }
 
-// bothKernels runs f once per microkernel path available on this host.
+// everyTile runs f once per register tile this host can run (generic,
+// avx2, avx512), each as a subtest named after its tile.
+func everyTile(t *testing.T, f func(t *testing.T)) {
+	for _, name := range blas.Tiles() {
+		t.Run(name, func(t *testing.T) {
+			defer blas.ForceTile(name)()
+			f(t)
+		})
+	}
+}
+
+// bothKernels runs f on the Go loops and, when the host has them, on the
+// AVX2 level-1 assembly kernels, which every assembly tile shares.
 func bothKernels(t *testing.T, f func(t *testing.T)) {
+	tiles := blas.Tiles()
 	t.Run("generic", func(t *testing.T) {
-		defer blas.ForceGenericKernel(true)()
+		defer blas.ForceTile("generic")()
 		f(t)
 	})
-	if blas.AsmKernelAvailable() {
+	if len(tiles) > 1 {
 		t.Run("asm", func(t *testing.T) {
-			defer blas.ForceGenericKernel(false)()
+			defer blas.ForceTile(tiles[len(tiles)-1])()
 			f(t)
 		})
 	}
@@ -52,11 +66,19 @@ func closeEnough(got, want, scale float64) bool {
 	return math.Abs(got-want) <= 1e-12*(scale+math.Abs(want))
 }
 
-// gemmSizes are the differential sweep dimensions: every fringe size of
-// the 8x4 tile (1..17 covers MR±1 and NR±1), both sides of the in-place-A
-// limit of 64 on n and k, and sizes spanning the MC/KC/NC cache-block
-// boundaries.
-var gemmSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 31, 64, 65, 100, 129}
+// gemmSizes are the differential sweep dimensions: 1..5 and both sides of
+// one and two register tiles in each direction (MR±1, 2·MR±1, NR±1 and
+// 2·NR±1), both sides of the in-place-A limit of 64 on n and k, and sizes
+// spanning the MC/KC/NC cache-block boundaries.
+var gemmSizes = func() []int {
+	sizes := []int{1, 2, 3, 4, 5}
+	for _, t := range []int{blas.TestMR, blas.TestNR, 2 * blas.TestMR, 2 * blas.TestNR} {
+		sizes = append(sizes, t-1, t, t+1)
+	}
+	sizes = append(sizes, 31, 64, 65, 100, 129)
+	slices.Sort(sizes)
+	return slices.Compact(sizes)
+}()
 
 // gemmShape is one Dgemm call: transposes and m x n x k.
 type gemmShape struct {
@@ -99,37 +121,54 @@ func gemmCases() []gemmShape {
 	return append(cs, gemmTall...)
 }
 
+// gemmCall is one differential Dgemm case: its shape and operands.
+type gemmCall struct {
+	gemmShape
+	alpha, beta   float64
+	a, b, c       []float64
+	lda, ldb, ldc int
+}
+
+// newGemmCall draws case caseIdx's operands: alpha and beta cycle through
+// {1, -0.7, 2.3} and {0, 1, -1.3}, and every leading dimension has 0-3
+// rows of slack.
+func newGemmCall(s gemmShape, caseIdx int, r *lcg) gemmCall {
+	g := gemmCall{gemmShape: s, alpha: []float64{1, -0.7, 2.3}[caseIdx%3], beta: []float64{0, 1, -1.3}[caseIdx%3]}
+	ldSlack := caseIdx % 4
+	rowA, colA := s.m, s.k
+	if s.transA == blas.Trans {
+		rowA, colA = s.k, s.m
+	}
+	rowB, colB := s.k, s.n
+	if s.transB == blas.Trans {
+		rowB, colB = s.n, s.k
+	}
+	g.lda, g.ldb, g.ldc = rowA+ldSlack, rowB+ldSlack, s.m+ldSlack
+	g.a = randSlice(g.lda*colA, r)
+	g.b = randSlice(g.ldb*colB, r)
+	g.c = randSlice(g.ldc*s.n, r)
+	return g
+}
+
+// run returns C after Dgemm on a copy of g's C.
+func (g gemmCall) run() []float64 {
+	cm := slices.Clone(g.c)
+	blas.Dgemm(g.transA, g.transB, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta, cm, g.ldc)
+	return cm
+}
+
 func TestDgemmDifferential(t *testing.T) {
-	alphas := []float64{1, -0.7, 2.3}
-	betas := []float64{0, 1, -1.3}
-	bothKernels(t, func(t *testing.T) {
+	everyTile(t, func(t *testing.T) {
 		r := lcg(1)
-		for caseIdx, c := range gemmCases() {
-			transA, transB, m, n, k := c.transA, c.transB, c.m, c.n, c.k
-			alpha := alphas[caseIdx%len(alphas)]
-			beta := betas[caseIdx%len(betas)]
-			ldSlack := caseIdx % 4 // exercise lda > rows
-			rowA, colA := m, k
-			if transA == blas.Trans {
-				rowA, colA = k, m
-			}
-			rowB, colB := k, n
-			if transB == blas.Trans {
-				rowB, colB = n, k
-			}
-			lda := rowA + ldSlack
-			ldb := rowB + ldSlack
-			ldc := m + ldSlack
-			a := randSlice(lda*colA, &r)
-			b := randSlice(ldb*colB, &r)
-			cm := randSlice(ldc*n, &r)
-			want := append([]float64(nil), cm...)
-			blas.Dgemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, cm, ldc)
-			baseline.RefGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+		for caseIdx, s := range gemmCases() {
+			g := newGemmCall(s, caseIdx, &r)
+			cm := g.run()
+			want := slices.Clone(g.c)
+			baseline.RefGemm(g.transA, g.transB, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta, want, g.ldc)
 			for i := range cm {
-				if !closeEnough(cm[i], want[i], float64(k)) {
+				if !closeEnough(cm[i], want[i], float64(g.k)) {
 					t.Fatalf("Dgemm transA=%v transB=%v m=%d n=%d k=%d lda=%d alpha=%g beta=%g: c[%d]=%g want %g",
-						transA, transB, m, n, k, lda, alpha, beta, i, cm[i], want[i])
+						g.transA, g.transB, g.m, g.n, g.k, g.lda, g.alpha, g.beta, i, cm[i], want[i])
 				}
 			}
 		}
@@ -213,7 +252,7 @@ func wellConditioned(na, lda int, r *lcg) []float64 {
 }
 
 func TestDtrsmDifferential(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	everyTile(t, func(t *testing.T) {
 		r := lcg(2)
 		for caseIdx, c := range triCases() {
 			a, lda, b, ldb, alpha := triOperands(c, caseIdx+1, &r)
@@ -231,7 +270,7 @@ func TestDtrsmDifferential(t *testing.T) {
 }
 
 func TestDtrmmDifferential(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	everyTile(t, func(t *testing.T) {
 		r := lcg(3)
 		for caseIdx, c := range triCases() {
 			a, lda, b, ldb, alpha := triOperands(c, caseIdx+1, &r)

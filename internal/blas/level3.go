@@ -18,12 +18,12 @@ import (
 // on the one microkernel. The pre-refactor unpacked kernels live on as
 // baseline.RefGemm/RefTrsm/RefTrmm, the differential-testing references.
 
-// Register tile of the packed microkernel. These are fixed by the kernel
+// Register tile of the packed Dgemm. These are fixed by the tile
 // implementations (microkernel.go, microkernel_amd64.s); the cache block
 // sizes gemmMC/gemmKC/gemmNC are tunable via SetBlockSizes.
 const (
-	gemmMR = 8 // rows of C per register tile (packed A strip height)
-	gemmNR = 4 // columns of C per register tile (packed B strip width)
+	gemmMR = 8  // rows of C per register tile (packed A strip height)
+	gemmNR = 12 // columns of C per register tile (packed B strip width)
 )
 
 // Cache blocking parameters of the packed Dgemm: the KC x NC panel of
@@ -34,7 +34,7 @@ const (
 var (
 	gemmMC = 128  // rows of packed A per macro block (multiple of gemmMR)
 	gemmKC = 256  // depth of the rank-kc update
-	gemmNC = 4096 // columns of packed B per macro block (multiple of gemmNR)
+	gemmNC = 4092 // columns of packed B per macro block (multiple of gemmNR)
 )
 
 // BlockSizes returns the active cache blocking parameters (MC, KC, NC) of
@@ -79,7 +79,7 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	if k == 0 || alpha == 0 {
 		return
 	}
-	if transA == NoTrans && useAsmKernel && m >= gemmMR && n <= inPlaceMaxN && k <= inPlaceMaxK {
+	if transA == NoTrans && m >= gemmMR && n <= inPlaceMaxN && k <= inPlaceMaxK {
 		gemmInPlace(transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -125,29 +125,30 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 }
 
 // Largest n and k for which Dgemm reads a NoTrans op(A) in place
-// (gemmInPlace) instead of packing it: at most 16 NR strips of B and a
-// depth that keeps one 8 x k strip of A within a few KiB of L1. The panel
-// recursions (GEQR3's C2 -= V2*W, RGETF2's A22 -= L21*U12) and the
-// recursive Dtrsm/Dtrmm issue such updates with k and n at most half the
-// panel width; the b = 100 trailing updates (S tasks) are deeper and keep
-// packing.
+// (gemmInPlace) instead of packing it. The panel recursions (GEQR3's
+// C2 -= V2*W, RGETF2's A22 -= L21*U12) and the recursive Dtrsm/Dtrmm issue
+// such updates with k and n at most half the panel width, and each 8 x k
+// strip of A stays in L1 while it sweeps B. On the 8x4 AVX2 tile, reading
+// A in place still beat packing it at n = k = 64 and lost at n = k = 100,
+// so the b = 100 trailing updates (S tasks) keep packing. The limits are
+// not tied to NR: they decide which updates apply alpha on write-back
+// rather than in the packed A, so moving them changes results' rounding.
 const (
-	inPlaceMaxN = 16 * gemmNR
+	inPlaceMaxN = 64
 	inPlaceMaxK = 64
 )
 
 // gemmInPlace computes C += alpha*A*op(B) for a NoTrans A of at least one
 // full register strip, with n <= inPlaceMaxN and k <= inPlaceMaxK. op(B)
 // is packed once; every full 8-row strip of A is then read where it lies,
-// at stride lda, by the assembly microkernel, which applies alpha on
-// write-back. The strip stays in L1 while it sweeps B's few NR strips, so
-// packing it would only copy it once more. Fringe columns go through a
-// tile buffer, and the rows below the last full strip are packed and run
-// through the macrokernel as usual.
+// at stride lda, by the register tile, which applies alpha on write-back.
+// The strip stays in L1 while it sweeps B's few NR strips, so packing it
+// would only copy it once more. Fringe columns go through the tile buffer,
+// and the rows below the last full strip are packed and run through the
+// macrokernel as usual.
 func gemmInPlace(transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	// The assembly kernel reads and writes without bounds checks; fail
-	// here, as the packing path would, when A or C is shorter than its
-	// shape.
+	// The assembly tiles read and write without bounds checks; fail here,
+	// as the packing path would, when A or C is shorter than its shape.
 	_ = a[(k-1)*lda+m-1]
 	_ = c[(n-1)*ldc+m-1]
 	bp := scratch.Get(k * ceilMul(n, gemmNR))
@@ -157,13 +158,7 @@ func gemmInPlace(transB Transpose, m, n, k int, alpha float64, a []float64, lda 
 	for ir := 0; ir < mFull; ir += gemmMR {
 		for jr := 0; jr < n; jr += gemmNR {
 			bs := bp[jr*k : jr*k+gemmNR*k]
-			if jb := n - jr; jb < gemmNR {
-				var tmp [gemmMR * gemmNR]float64
-				gemmKernelAsm(k, a[ir:], lda, bs, tmp[:], gemmMR, alpha)
-				addTile(c[jr*ldc+ir:], ldc, &tmp, gemmMR, jb)
-				continue
-			}
-			gemmKernelAsm(k, a[ir:], lda, bs, c[jr*ldc+ir:], ldc, alpha)
+			kernelTile(k, a[ir:], lda, bs, c[jr*ldc+ir:], ldc, alpha, gemmMR, min(gemmNR, n-jr))
 		}
 	}
 	if mFull < m {

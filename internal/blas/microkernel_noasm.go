@@ -2,16 +2,19 @@
 
 package blas
 
-// Non-amd64 builds have no assembly kernels: useAsmKernel stays false and
-// every dispatch takes its Go loop. The stubs below exist so the dispatch
-// sites compile on every architecture; none of them is ever reached.
+// Non-amd64 builds have no assembly kernels: the tile is the Go loops,
+// useAsmKernel stays false and every dispatch takes its Go path. The stubs
+// below exist so the dispatch sites compile on every architecture; none of
+// them is ever reached.
 
-const asmKernelName = "none"
+// probeTile: no assembly tile exists off amd64.
+func probeTile() tile { return tileGeneric }
 
-// probeAsmKernel: no assembly kernel exists off amd64.
-func probeAsmKernel() bool { return false }
+func gemmKernel8x12AVX512(kc int, a *float64, lda int, b, c *float64, ldc int, alpha float64, ib, jb int) {
+	panic(errNoAsm)
+}
 
-func gemmKernelAsm(kc int, a []float64, lda int, b, c []float64, ldc int, alpha float64) {
+func gemmKernel8x4AVX2(kc int, a *float64, lda int, b, c *float64, ldc int, alpha float64, n int) {
 	panic(errNoAsm)
 }
 
@@ -21,4 +24,4 @@ func daxpyAsm(alpha float64, x, y []float64) { panic(errNoAsm) }
 func dscalAsm(alpha float64, x []float64)    { panic(errNoAsm) }
 func idamaxAsm(x []float64) int              { panic(errNoAsm) }
 
-const errNoAsm = "blas: assembly kernel called without useAsmKernel"
+const errNoAsm = "blas: assembly kernel called off amd64"

@@ -70,14 +70,19 @@ func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
 		dst := buf[jr*kc : jr*kc+gemmNR*kc]
 		if trans == NoTrans {
 			// op(B) column j is the contiguous source column b[(jr+j)*ldb:].
-			if jb == gemmNR {
-				packBStrip(kc, b[jr*ldb:], ldb, dst)
-				continue
+			// Whole groups of four columns are packed four at a time
+			// (packBGroup); a fringe strip is cleared first, and its last
+			// columns are copied one by one.
+			if jb < gemmNR {
+				for i := range dst {
+					dst[i] = 0
+				}
 			}
-			for i := range dst {
-				dst[i] = 0
+			g := jb / 4 * 4
+			for j := 0; j < g; j += 4 {
+				packBGroup(kc, b[(jr+j)*ldb:], ldb, dst[j:])
 			}
-			for j := 0; j < jb; j++ {
+			for j := g; j < jb; j++ {
 				src := b[(jr+j)*ldb : (jr+j)*ldb+kc]
 				for p, v := range src {
 					dst[p*gemmNR+j] = v
@@ -119,16 +124,16 @@ func packATransStrip(kc int, alpha float64, a []float64, lda int, dst []float64)
 	}
 }
 
-// packBStrip packs one full NR-column strip of a NoTrans B: the four
-// source columns are read as parallel streams so each depth index writes
-// one contiguous group of NR values.
-func packBStrip(kc int, b []float64, ldb int, dst []float64) {
+// packBGroup packs four columns of a NoTrans B into lanes 0-3 of each
+// depth step of the NR-wide strip dst: the columns are read as parallel
+// streams so each depth index writes one contiguous group of four values.
+func packBGroup(kc int, b []float64, ldb int, dst []float64) {
 	c0 := b[0*ldb : 0*ldb+kc]
 	c1 := b[1*ldb : 1*ldb+kc]
 	c2 := b[2*ldb : 2*ldb+kc]
 	c3 := b[3*ldb : 3*ldb+kc]
 	for p := range c0 {
-		d := dst[p*gemmNR : p*gemmNR+gemmNR]
+		d := dst[p*gemmNR : p*gemmNR+4]
 		d[0], d[1], d[2], d[3] = c0[p], c1[p], c2[p], c3[p]
 	}
 }

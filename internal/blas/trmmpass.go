@@ -8,14 +8,14 @@ import "repro/internal/scratch"
 const trmmPassMax = 128
 
 // trmmPassNC is the width of the column block of B that trmmPass packs at
-// once: with order trmmPassMax the block is 256 KiB, and it is consumed
-// straight after packing while it is still in L2.
-const trmmPassNC = 256
+// once, a multiple of gemmNR: with order trmmPassMax the block is 252 KiB,
+// and it is consumed straight after packing while it is still in L2.
+const trmmPassNC = 252
 
 // trmmPass computes B = alpha*op(A)*B in place for an m x m triangle,
 // m <= trmmPassMax. alpha*op(A) is packed once (packTri). Then each column
 // block of B is packed and cleared, and every MR x NR tile of the block is
-// rebuilt by one microkernel call over the depth range where its strip of
+// rebuilt by one register tile call over the depth range where its strip of
 // op(A) is nonzero. Because the packed copy holds B's input, the tiles can
 // be written over B in any order.
 func trmmPass(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
@@ -43,7 +43,7 @@ func trmmPass(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a 
 				}
 				as := ap[ir*m+lo*gemmMR : ir*m+hi*gemmMR]
 				bs := bp[jr*m+lo*gemmNR : jr*m+hi*gemmNR]
-				kernelTile(hi-lo, as, bs, bc[jr*ldb+ir:], ldb, ib, jb)
+				kernelTile(hi-lo, as, gemmMR, bs, bc[jr*ldb+ir:], ldb, 1, ib, jb)
 			}
 		}
 	}
