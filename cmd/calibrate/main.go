@@ -4,18 +4,20 @@
 // machine instead of the paper's 2009 testbeds.
 //
 //	go run ./cmd/calibrate
-//	go run ./cmd/calibrate -tune          # grid-search MC/KC/NC for this host
+//	go run ./cmd/calibrate -tune          # grid-search MC/NC for this host
 //	go run ./cmd/calibrate -tune -n 768   # tune at a different problem size
 //
-// -tune sweeps the packed Dgemm's cache block sizes (see doc/KERNELS.md)
-// and prints the best (MC, KC, NC) triple together with the
-// blas.SetBlockSizes call that applies it.
+// -tune sweeps the packed Dgemm's MC and NC cache blocks at the default KC
+// (see doc/KERNELS.md) and prints the fastest pair next to the defaults:
+// the blas.SetBlockSizes call that applies it, or "keep the defaults" when
+// its lead is within the defaults' own run-to-run spread.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/baseline"
@@ -26,7 +28,7 @@ import (
 )
 
 func main() {
-	tune := flag.Bool("tune", false, "grid-search packed-Dgemm block sizes (MC/KC/NC) and exit")
+	tune := flag.Bool("tune", false, "grid-search packed-Dgemm block sizes (MC/NC at the default KC) and exit")
 	tuneN := flag.Int("n", 512, "with -tune: square problem size to tune at")
 	flag.Parse()
 
@@ -73,39 +75,82 @@ func main() {
 		overhead, recCache, blas2Cache)
 }
 
-// tuneBlocks grid-searches the packed Dgemm's cache block sizes at n^3 and
-// prints the winner. The grid brackets the L2/L3-sized defaults: MC rows of
-// packed A (MC*KC*8 bytes should sit in L2), KC depth (KC*NR*8-byte B
-// strips must stay L1-resident), NC columns of packed B (KC*NC*8 in L3).
+// tuneRounds is how many rounds -tune times the grid in. A round runs one
+// Dgemm per setting, so a shared host's drift lands on every setting alike;
+// a setting's rate is the median of its rounds.
+const tuneRounds = 21
+
+// tuneBlocks grid-searches the packed Dgemm's cache blocks at n^3 and
+// prints the winner next to the defaults. The grid brackets the L2/L3-sized
+// defaults: MC rows of packed A (MC*KC*8 bytes should sit in L2) and NC
+// columns of packed B (KC*NC*8 in L3). KC stays at its default: it fixes
+// the order in which each element of C is summed, so changing it would
+// change factor bits (doc/KERNELS.md).
 func tuneBlocks(n int) {
-	mcGrid := []int{64, 96, 128, 192, 256}
-	kcGrid := []int{128, 192, 256, 384, 512}
-	ncGrid := []int{1020, 2040, 4092} // multiples of the 12-column register tile
-	origMC, origKC, origNC := blas.BlockSizes()
+	mc0, kc, nc0 := blas.BlockSizes()
 	defer func() {
-		if err := blas.SetBlockSizes(origMC, origKC, origNC); err != nil {
+		if err := blas.SetBlockSizes(mc0, kc, nc0); err != nil {
 			panic(err)
 		}
 	}()
-	fmt.Printf("tuning packed Dgemm block sizes at n=%d (kernel %s)...\n", n, blas.KernelName())
-	bestRate := 0.0
-	bestMC, bestKC, bestNC := origMC, origKC, origNC
-	for _, nc := range ncGrid {
-		for _, kc := range kcGrid {
-			for _, mc := range mcGrid {
-				if err := blas.SetBlockSizes(mc, kc, nc); err != nil {
-					panic(err)
-				}
-				r := rateGemm(n)
-				fmt.Printf("  MC=%-4d KC=%-4d NC=%-5d %7.2f GFlop/s\n", mc, kc, nc, r/1e9)
-				if r > bestRate {
-					bestRate, bestMC, bestKC, bestNC = r, mc, kc, nc
-				}
-			}
+	type setting struct {
+		mc, nc int
+		rates  []float64 // sorted after the last round
+	}
+	// The defaults come first. NC values are multiples of the 12-column
+	// register tile.
+	var grid []*setting
+	for _, nc := range distinctBlocks(n, nc0, 1020, 2040, 4092) {
+		for _, mc := range distinctBlocks(n, mc0, 64, 96, 128, 192, 256) {
+			grid = append(grid, &setting{mc: mc, nc: nc})
 		}
 	}
-	fmt.Printf("\nbest: MC=%d KC=%d NC=%d at %.2f GFlop/s\n", bestMC, bestKC, bestNC, bestRate/1e9)
-	fmt.Printf("apply with:\n\n\tblas.SetBlockSizes(%d, %d, %d)\n", bestMC, bestKC, bestNC)
+	a, b, c := matrix.Random(n, n, 1), matrix.Random(n, n, 2), matrix.New(n, n)
+	flops := 2 * float64(n) * float64(n) * float64(n)
+	fmt.Printf("tuning packed Dgemm blocks at n=%d, KC=%d (kernel %s): median of %d interleaved rounds...\n",
+		n, kc, blas.KernelName(), tuneRounds)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c) // warm-up
+	for r := 0; r < tuneRounds; r++ {
+		for _, s := range grid {
+			if err := blas.SetBlockSizes(s.mc, kc, s.nc); err != nil {
+				panic(err)
+			}
+			start := time.Now()
+			blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+			s.rates = append(s.rates, flops/time.Since(start).Seconds()/1e9)
+		}
+	}
+	med := func(s *setting) float64 { return s.rates[len(s.rates)/2] }
+	def, best := grid[0], grid[0]
+	for _, s := range grid {
+		slices.Sort(s.rates)
+		fmt.Printf("  MC=%-4d NC=%-5d %7.2f GFlop/s\n", s.mc, s.nc, med(s))
+		if med(s) > med(best) {
+			best = s
+		}
+	}
+	q1, q3 := def.rates[tuneRounds/4], def.rates[tuneRounds-1-tuneRounds/4]
+	fmt.Printf("\ndefault: MC=%d NC=%d at %.2f GFlop/s (quartiles %.2f-%.2f)\n", def.mc, def.nc, med(def), q1, q3)
+	fmt.Printf("best:    MC=%d NC=%d at %.2f GFlop/s\n", best.mc, best.nc, med(best))
+	if med(best)-med(def) <= q3-q1 {
+		fmt.Println("the best is within the default's spread: keep the defaults")
+		return
+	}
+	fmt.Printf("apply with:\n\n\tblas.SetBlockSizes(%d, %d, %d)\n", best.mc, kc, best.nc)
+}
+
+// distinctBlocks returns def and the values of grid that run a blocking of
+// their own at size n. Dgemm clamps a block of n or more to the problem,
+// so those all run alike; the first of them stands for the rest (def, when
+// it is one).
+func distinctBlocks(n, def int, grid ...int) []int {
+	vals := []int{def}
+	for _, v := range grid {
+		if !slices.ContainsFunc(vals, func(u int) bool { return min(u, n) == min(v, n) }) {
+			vals = append(vals, v)
+		}
+	}
+	return vals
 }
 
 // rateGemm returns achieved flops/s of the blocked Dgemm at size n^3.

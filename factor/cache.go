@@ -202,22 +202,30 @@ func (c *resultCache) do(ctx context.Context, key ckey, fn func() (any, error)) 
 	return f.val, false, f.err
 }
 
-// keyHasher is a pooled sha256 state plus the scratch buffers cacheKey
-// writes through; pooling it (and summing into the fixed array) keeps key
-// computation allocation-free after warmup.
+// keyHasher is a pooled sha256 state plus the buffer cacheKey writes
+// through; pooling it (and summing into the fixed array) keeps key
+// computation allocation-free after warmup. The buffer hands the hash
+// 32 KiB at a time rather than one 8-byte word per element.
 type keyHasher struct {
 	h   hash.Hash
-	w   [8]byte
-	op  [1]byte
+	buf []byte
 	sum [sha256.Size]byte
 }
 
 func (hs *keyHasher) put(v uint64) {
-	binary.LittleEndian.PutUint64(hs.w[:], v)
-	hs.h.Write(hs.w[:])
+	// Flush when the next word would not fit. A len == cap test would
+	// never fire (the 57-byte header keeps len off multiples of 8), and
+	// append would grow the buffer on every call instead.
+	if len(hs.buf)+8 > cap(hs.buf) {
+		hs.h.Write(hs.buf)
+		hs.buf = hs.buf[:0]
+	}
+	hs.buf = binary.LittleEndian.AppendUint64(hs.buf, v)
 }
 
-var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New()} }}
+var keyHashers = sync.Pool{New: func() any {
+	return &keyHasher{h: sha256.New(), buf: make([]byte, 0, 32<<10)}
+}}
 
 // cacheKey hashes everything that determines a factorization's bits: the
 // operation, the shape, the numeric options (block size, panel threads,
@@ -227,8 +235,7 @@ var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New()} 
 func cacheKey(op byte, a *Matrix, opt core.Options) (k ckey) {
 	hs := keyHashers.Get().(*keyHasher)
 	hs.h.Reset()
-	hs.op[0] = op
-	hs.h.Write(hs.op[:])
+	hs.buf = append(hs.buf[:0], op)
 	hs.put(uint64(a.Rows))
 	hs.put(uint64(a.Cols))
 	hs.put(uint64(opt.BlockSize))
@@ -246,6 +253,7 @@ func cacheKey(op byte, a *Matrix, opt core.Options) (k ckey) {
 			hs.put(math.Float64bits(v))
 		}
 	}
+	hs.h.Write(hs.buf)
 	copy(k[:], hs.h.Sum(hs.sum[:0]))
 	keyHashers.Put(hs)
 	return k

@@ -6,12 +6,18 @@ package factor
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/tslu"
 )
 
 // TestBackoffDelayNeverExceedsMax is the regression test for the jitter
@@ -382,6 +388,53 @@ func TestCacheHitSkipsFactorization(t *testing.T) {
 	if s.CacheHits != 1 || s.CacheMisses != 4 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/4", s.CacheHits, s.CacheMisses)
 	}
+}
+
+// TestCacheKeyByteStream pins cacheKey, which hashes through a buffer,
+// to the byte stream written one word at a time: the op byte, the seven
+// header words, then each element's IEEE bits, column by column. The
+// inputs span no flush, one and several (a 32 KiB buffer holds 4096
+// words), one is a strided view, and the options include every field the
+// key reads.
+func TestCacheKeyByteStream(t *testing.T) {
+	big := Random(150, 90, 11)
+	mats := []*Matrix{Random(7, 5, 10), Random(64, 64, 12), Random(4095, 1, 13), big, big.View(9, 4, 130, 70)}
+	opts := []core.Options{
+		{BlockSize: 100, PanelThreads: 4, Workers: 2, Lookahead: true},
+		{BlockSize: 32, PanelThreads: 2, Tree: tslu.Flat, StructuredTree: true, GrowthThreshold: 2, Verify: true},
+	}
+	for _, a := range mats {
+		for _, opt := range opts {
+			for _, op := range []byte{luOp.label[0], qrOp.label[0]} {
+				if got, want := cacheKey(op, a, opt), refCacheKey(op, a, opt); got != want {
+					t.Fatalf("cacheKey(%c, %dx%d stride %d, %+v) = %x, want %x", op, a.Rows, a.Cols, a.Stride, opt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// refCacheKey is cacheKey's byte stream handed to sha256 one word at a
+// time.
+func refCacheKey(op byte, a *Matrix, opt core.Options) (k ckey) {
+	structured := uint64(0)
+	if opt.StructuredTree {
+		structured = 1
+	}
+	words := []uint64{uint64(a.Rows), uint64(a.Cols), uint64(opt.BlockSize), uint64(opt.PanelThreads),
+		uint64(opt.Tree), structured, math.Float64bits(opt.GrowthThreshold)}
+	for j := 0; j < a.Cols; j++ {
+		for _, v := range a.Col(j) {
+			words = append(words, math.Float64bits(v))
+		}
+	}
+	h := sha256.New()
+	h.Write([]byte{op})
+	for _, w := range words {
+		h.Write(binary.LittleEndian.AppendUint64(nil, w))
+	}
+	copy(k[:], h.Sum(nil))
+	return k
 }
 
 // TestCacheEviction checks the LRU bound: filling past CacheEntries evicts

@@ -96,6 +96,7 @@ func TestLevel12ZeroAlloc(t *testing.T) {
 	run := func() {
 		sink += Ddot(m, x, 1, a, 1)
 		sink += Dsum(a[:m])
+		sink += Damax(a[:m])
 		Daxpy(m, 0.5, x, 1, a, 1)
 		Dscal(m, 0.5, a, 1)
 		sink += float64(Idamax(m, a, 1))

@@ -76,3 +76,32 @@ func BenchmarkDger(b *testing.B) {
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
+
+// BenchmarkDamax scans a 10^4 x 200 matrix column by column, the input
+// check on the paper's tall shape (16 MB, past L2), on the Go loop and,
+// where the host has it, on the assembly.
+func BenchmarkDamax(b *testing.B) {
+	a := matrix.Random(10000, 200, 9)
+	scan := func(b *testing.B) {
+		sink := 0.0
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < a.Cols; j++ {
+				sink += Damax(a.Col(j))
+			}
+		}
+		b.ReportMetric(8*float64(len(a.Data))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		if sink < 0 {
+			b.Fatal("negative max")
+		}
+	}
+	b.Run("generic", func(b *testing.B) {
+		defer ForceTile("generic")()
+		scan(b)
+	})
+	if tiles := Tiles(); len(tiles) > 1 {
+		b.Run("asm", func(b *testing.B) {
+			defer ForceTile(tiles[len(tiles)-1])()
+			scan(b)
+		})
+	}
+}

@@ -415,6 +415,10 @@ func TestLevel1Differential(t *testing.T) {
 					t.Fatalf("%s = %g, want %g", what("Dsum"), got, want)
 				}
 
+				if got, want := blas.Damax(x.vec()[:n]), refDamax(x.vec()[:n]); !sameFloat(got, want) {
+					t.Fatalf("%s = %g, want %g", what("Damax"), got, want)
+				}
+
 				wantY := y.clone()
 				for i := 0; i < n; i++ {
 					wantY.vec()[i] += -0.7 * x.vec()[i]
@@ -452,6 +456,25 @@ func refIdamax(x []float64) int {
 		}
 	}
 	return best
+}
+
+// refDamax is max|x_i| by Damax's contract: NaN if any element is NaN,
+// otherwise the largest magnitude, and 0 for an empty x.
+func refDamax(x []float64) float64 {
+	amax := 0.0
+	for _, v := range x {
+		if math.IsNaN(v) {
+			return math.NaN()
+		}
+		amax = math.Max(amax, math.Abs(v))
+	}
+	return amax
+}
+
+// sameFloat reports whether got and want have the same bits, counting any
+// two NaNs as equal.
+func sameFloat(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
 // refNrm2 is the LAPACK dlassq loop.
@@ -498,6 +521,68 @@ func TestIdamaxTies(t *testing.T) {
 		}
 		if got := blas.Idamax(5, []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}, 1); got != 0 {
 			t.Fatalf("Idamax of all NaN = %d, want 0", got)
+		}
+	})
+}
+
+// TestDamaxPlanted plants each value Damax's contract singles out at every
+// position of every length 0..33 (every remainder of the 16- and 4-wide
+// loops and every scalar tail) and at several positions of the tall leaf's
+// 2500 rows. The large values and the non-finite ones sit among random
+// entries in [-1, 1); the tiny ones among zeros of either sign, so they
+// must win. A NaN is also planted next to an infinity, on either side.
+func TestDamaxPlanted(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	planted := []struct {
+		v, want float64
+		zeros   bool // background of signed zeros rather than random entries
+	}{
+		{math.NaN(), math.NaN(), false},
+		{math.Inf(1), math.Inf(1), false},
+		{math.Inf(-1), math.Inf(1), false},
+		{math.MaxFloat64, math.MaxFloat64, false},
+		{-math.MaxFloat64, math.MaxFloat64, false},
+		{math.Copysign(0, -1), 0, true},
+		{tiny, tiny, true},
+		{-tiny, tiny, true},
+	}
+	bothKernels(t, func(t *testing.T) {
+		r := lcg(9)
+		if got := blas.Damax(nil); !sameFloat(got, 0) {
+			t.Fatalf("Damax(nil) = %g, want 0", got)
+		}
+		for _, n := range vecLengths {
+			positions := []int{0, 3, 16, n / 2, n - 17, n - 4, n - 1}
+			if n <= 33 {
+				positions = positions[:0]
+				for p := 0; p < n; p++ {
+					positions = append(positions, p)
+				}
+			}
+			for _, p := range positions {
+				for _, pl := range planted {
+					x := randSlice(n, &r)
+					if pl.zeros {
+						for i, v := range x {
+							x[i] = math.Copysign(0, v)
+						}
+					}
+					x[p] = pl.v
+					if got := blas.Damax(x); !sameFloat(got, pl.want) {
+						t.Fatalf("Damax n=%d with %g at %d = %g, want %g", n, pl.v, p, got, pl.want)
+					}
+				}
+				if n < 2 {
+					continue
+				}
+				for _, q := range []int{(p + 1) % n, (p + n - 1) % n} {
+					x := randSlice(n, &r)
+					x[p], x[q] = math.Inf(1-2*(q%2)), math.NaN()
+					if got := blas.Damax(x); !math.IsNaN(got) {
+						t.Fatalf("Damax n=%d with Inf at %d and NaN at %d = %g, want NaN", n, p, q, got)
+					}
+				}
+			}
 		}
 	})
 }

@@ -140,6 +140,29 @@ func Dsum(x []float64) float64 {
 	return sum
 }
 
+// Damax returns the largest absolute value of the elements of x, like the
+// OpenBLAS damax extension, and 0 for an empty x. Unlike Idamax it does
+// not skip NaNs: the result is NaN if any element is NaN, and +Inf if any
+// is infinite and none is NaN, so one call both checks x for non-finite
+// entries (the result is not <= math.MaxFloat64) and measures it. It takes
+// a contiguous slice, as Dsum does: its caller, the input scan, reads whole
+// columns.
+func Damax(x []float64) float64 {
+	if useAsmKernel {
+		return damaxAsm(x)
+	}
+	amax := 0.0
+	for _, v := range x {
+		if a := math.Abs(v); !(a <= amax) {
+			if a != a {
+				return a
+			}
+			amax = a
+		}
+	}
+	return amax
+}
+
 // Bounds on a plain sum of squares within which Dnrm2 trusts it: below
 // ssqMin an element's square may have lost accuracy to gradual underflow
 // relative to the total, and above ssqMax a partial sum may have

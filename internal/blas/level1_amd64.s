@@ -1,8 +1,8 @@
 // AVX2+FMA level-1 kernels for the unit-stride paths of Ddot, Dsum,
-// Daxpy, Dscal, Idamax and Dnrm2 (see doc/KERNELS.md). Every kernel walks its
-// slices from index 0 in fixed-size chunks, with unaligned loads and no
-// alignment peeling, so a result depends only on the length and the values,
-// never on where the slice happens to sit in memory.
+// Daxpy, Dscal, Idamax, Damax and Dnrm2 (see doc/KERNELS.md). Every kernel
+// walks its slices from index 0 in fixed-size chunks, with unaligned loads
+// and no alignment peeling, so a result depends only on the length and the
+// values, never on where the slice happens to sit in memory.
 
 #include "textflag.h"
 
@@ -360,5 +360,98 @@ found4:
 
 done:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func damaxAsm(x []float64) float64
+//
+// Returns max_i |x[i]| over len(x) elements (0 when empty), or a NaN when
+// any element is NaN. Four YMM accumulators take the maximum of |x| 16
+// elements per iteration (VMAXPD keeps the running maximum when an element
+// is NaN, as in idamaxAsm), and four more collect NaN flags: VCMPPD's
+// unordered predicate with the flag itself as one operand is sticky,
+// because a true lane (all ones) is itself a NaN. A 4-wide loop and the
+// reduction follow, and the scalar tail runs on the reduced lane 0 only: a
+// VEX.128 instruction zeroes lanes 2-3 of its destination, so a tail
+// written before the reduction would drop flags.
+TEXT ·damaxAsm(SB), NOSPLIT, $0-32
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         $0x7fffffffffffffff, AX
+	MOVQ         AX, X15
+	VBROADCASTSD X15, Y15              // |.| mask
+	VXORPD       Y0, Y0, Y0            // Y0-Y3: max|x|
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	VXORPD       Y8, Y8, Y8            // Y8-Y11: NaN flags
+	VXORPD       Y9, Y9, Y9
+	VXORPD       Y10, Y10, Y10
+	VXORPD       Y11, Y11, Y11
+	MOVQ         CX, BX
+	SHRQ         $4, BX
+	JZ           amax4
+
+amax16:
+	VANDPD (SI), Y15, Y4
+	VANDPD 32(SI), Y15, Y5
+	VANDPD 64(SI), Y15, Y6
+	VANDPD 96(SI), Y15, Y7
+	VMAXPD Y0, Y4, Y0
+	VMAXPD Y1, Y5, Y1
+	VMAXPD Y2, Y6, Y2
+	VMAXPD Y3, Y7, Y3
+	VCMPPD $3, Y4, Y8, Y8              // flag |= isnan(|x|)
+	VCMPPD $3, Y5, Y9, Y9
+	VCMPPD $3, Y6, Y10, Y10
+	VCMPPD $3, Y7, Y11, Y11
+	ADDQ   $128, SI
+	DECQ   BX
+	JNZ    amax16
+
+amax4:
+	ANDQ $15, CX
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   amaxreduce
+
+amax4loop:
+	VANDPD (SI), Y15, Y4
+	VMAXPD Y0, Y4, Y0
+	VCMPPD $3, Y4, Y8, Y8
+	ADDQ   $32, SI
+	DECQ   BX
+	JNZ    amax4loop
+
+amaxreduce:
+	VMAXPD       Y1, Y0, Y0
+	VMAXPD       Y3, Y2, Y2
+	VMAXPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VMAXSD       X1, X0, X0
+	VORPD        Y9, Y8, Y8
+	VORPD        Y11, Y10, Y10
+	VORPD        Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VORPD        X9, X8, X8
+	VPERMILPD    $1, X8, X9
+	VORPD        X9, X8, X8
+	ANDQ         $3, CX
+	JZ           amaxdone
+
+amax1:
+	VMOVSD (SI), X4
+	VANDPD X15, X4, X4
+	VMAXSD X0, X4, X0
+	VCMPSD $3, X4, X8, X8
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    amax1
+
+amaxdone:
+	VORPD  X8, X0, X0                  // a set flag makes the result a NaN
+	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -98,3 +98,6 @@ func dscalAsm(alpha float64, x []float64)
 
 //go:noescape
 func idamaxAsm(x []float64) int
+
+//go:noescape
+func damaxAsm(x []float64) float64

@@ -23,5 +23,6 @@ func dsumAsm(x []float64) float64            { panic(errNoAsm) }
 func daxpyAsm(alpha float64, x, y []float64) { panic(errNoAsm) }
 func dscalAsm(alpha float64, x []float64)    { panic(errNoAsm) }
 func idamaxAsm(x []float64) int              { panic(errNoAsm) }
+func damaxAsm(x []float64) float64           { panic(errNoAsm) }
 
 const errNoAsm = "blas: assembly kernel called off amd64"

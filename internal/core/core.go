@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/tslu"
@@ -161,28 +162,33 @@ func (o *Options) normalize(m, n int) error {
 }
 
 // scanFinite walks the matrix once, returning an error wrapping
-// ErrNonFinite (with the first offending coordinate) if any entry is NaN
-// or Inf, and otherwise max|A| over the leading min(m, n) columns — the
-// block the task graph factors. The max feeds the pivot-growth guardrail's
-// denominator, so the pre-factorization scan does double duty in one pass.
-// A non-nil colsums (length >= a.Cols) additionally receives the column
-// sums of the pristine input — the ABFT checksum vector verify mode checks
-// the finished factors against.
+// ErrNonFinite (with the first offending coordinate in column-major order)
+// if any entry is NaN or Inf, and otherwise max|A| over the leading
+// min(m, n) columns — the block the task graph factors. The max feeds the
+// pivot-growth guardrail's denominator, so the pre-factorization scan does
+// double duty in one pass: one blas.Damax per column, whose result is not
+// <= MaxFloat64 exactly when the column holds a NaN or an Inf. A non-nil
+// colsums (length >= a.Cols) additionally receives the column sums of the
+// pristine input — the ABFT checksum vector verify mode checks the
+// finished factors against — each taken while its column is still in
+// cache.
 func scanFinite(a *matrix.Dense, colsums []float64) (float64, error) {
 	maxA := 0.0
 	for j := 0; j < a.Cols; j++ {
-		sum := 0.0
-		for i, v := range a.Col(j) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%w: A(%d,%d) = %v", ErrNonFinite, i, j, v)
+		c := a.Col(j)
+		amax := blas.Damax(c)
+		if !(amax <= math.MaxFloat64) {
+			i := 0
+			for math.Abs(c[i]) <= math.MaxFloat64 {
+				i++
 			}
-			sum += v
-			if v = math.Abs(v); v > maxA && j < a.Rows {
-				maxA = v
-			}
+			return 0, fmt.Errorf("%w: A(%d,%d) = %v", ErrNonFinite, i, j, c[i])
 		}
 		if colsums != nil {
-			colsums[j] = sum
+			colsums[j] = blas.Dsum(c)
+		}
+		if j < a.Rows {
+			maxA = max(maxA, amax)
 		}
 	}
 	return maxA, nil

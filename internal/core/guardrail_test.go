@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,24 +14,124 @@ import (
 	"repro/internal/sched"
 )
 
-// TestNonFiniteRejected checks the pre-factorization scan: a single NaN or
-// Inf anywhere fails fast with ErrNonFinite, before any task runs.
+// TestNonFiniteRejected checks the pre-factorization scan: a NaN or an
+// infinity anywhere fails CALU and CAQR with ErrNonFinite, naming its
+// coordinate, before a is touched. The shapes end their columns in several
+// tails of the vector scan, and the wide 10x30 has columns right of its
+// square block, which the scan covers too. The bad entry sits in the first,
+// middle or last row of a column; a second one later in column-major order
+// (the next column's row 0, or the last row of the same column) must not
+// be the one named.
 func TestNonFiniteRejected(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		a := matrix.Random(20, 20, 3)
-		a.Set(13, 7, bad)
-		if _, err := CALU(a, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("CALU with %v entry: err = %v, want ErrNonFinite", bad, err)
-		}
-		if _, err := CAQR(a, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("CAQR with %v entry: err = %v, want ErrNonFinite", bad, err)
+	algs := []struct {
+		name string
+		run  func(*matrix.Dense) error
+	}{
+		{"CALU", func(a *matrix.Dense) error { _, err := CALU(a, Options{BlockSize: 5}); return err }},
+		{"CAQR", func(a *matrix.Dense) error { _, err := CAQR(a, Options{BlockSize: 5}); return err }},
+	}
+	shapes := [][2]int{{1, 1}, {3, 2}, {17, 4}, {33, 3}, {20, 20}, {10, 30}}
+	for si, sh := range shapes {
+		m, n := sh[0], sh[1]
+		for _, j := range []int{0, n / 2, n - 1} {
+			for _, i := range []int{0, m / 2, m - 1} {
+				seconds := [][2]int{{-1, -1}}
+				if j+1 < n {
+					seconds = append(seconds, [2]int{0, j + 1})
+				}
+				if i+1 < m {
+					seconds = append(seconds, [2]int{m - 1, j})
+				}
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					for _, second := range seconds {
+						a := matrix.Random(m, n, int64(si+1))
+						a.Set(i, j, bad)
+						if second[0] >= 0 {
+							a.Set(second[0], second[1], math.NaN())
+						}
+						want := fmt.Sprintf("A(%d,%d) = %v", i, j, bad)
+						orig := slices.Clone(a.Data)
+						for _, alg := range algs {
+							err := alg.run(a)
+							if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), want) {
+								t.Fatalf("%s %dx%d with %v at (%d,%d), second at %v: err = %v, want ErrNonFinite naming %s",
+									alg.name, m, n, bad, i, j, second, err, want)
+							}
+							if !slices.EqualFunc(a.Data, orig, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+								t.Fatalf("%s %dx%d with %v at (%d,%d): rejected input was modified", alg.name, m, n, bad, i, j)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-	// The wide (m < n) recursion path scans before recursing.
-	wide := matrix.Random(10, 30, 4)
-	wide.Set(2, 25, math.NaN()) // in the right block, outside the factored square
-	if _, err := CALU(wide, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("wide CALU: err = %v, want ErrNonFinite", err)
+}
+
+// TestFiniteExtremesAccepted: finite entries at the ends of the range,
+// +-MaxFloat64 and subnormals, pass the scan, which reports the largest as
+// max|A|, and the input factors without error.
+func TestFiniteExtremesAccepted(t *testing.T) {
+	const n = 20
+	a := matrix.Random(n, n, 5)
+	a.Set(3, 2, math.MaxFloat64)
+	a.Set(7, 9, -math.MaxFloat64)
+	a.Set(0, 4, math.SmallestNonzeroFloat64)
+	a.Set(19, 11, -0x1p-1070)
+	a.Set(12, 19, math.Copysign(0, -1))
+	opt := Options{BlockSize: 5}
+	_, maxA, _, err := prepareInput(a, &opt)
+	if err != nil || maxA != math.MaxFloat64 {
+		t.Fatalf("prepareInput = max %g, err %v; want max MaxFloat64, no error", maxA, err)
+	}
+	if _, err := CALU(a.Clone(), Options{BlockSize: 5}); err != nil {
+		t.Fatalf("CALU: %v", err)
+	}
+	if _, err := CAQR(a.Clone(), Options{BlockSize: 5}); err != nil {
+		t.Fatalf("CAQR: %v", err)
+	}
+}
+
+// TestPrepareMaxA checks the max|A| Prepare hands the growth guardrail
+// against a scalar loop over the leading min(m, n) columns, on tall,
+// square and wide inputs, with and without verify mode's column sums,
+// which must match a scalar sum of every column up to rounding. On the
+// wide input a larger entry right of the square block must not count:
+// the graph factors only the square block.
+func TestPrepareMaxA(t *testing.T) {
+	for _, sh := range [][2]int{{257, 13}, {40, 40}, {17, 45}} {
+		m, n := sh[0], sh[1]
+		a := matrix.Random(m, n, int64(m))
+		a.Set(m/3, min(m, n)-1, -7.5) // the largest counted entry
+		if n > m {
+			a.Set(1, n-1, 1e6)
+		}
+		want := 0.0
+		for j := 0; j < min(m, n); j++ {
+			for _, v := range a.Col(j) {
+				want = math.Max(want, math.Abs(v))
+			}
+		}
+		for _, verify := range []bool{false, true} {
+			opt := Options{Verify: verify}
+			_, got, sums, err := prepareInput(a, &opt)
+			if err != nil || got != want {
+				t.Fatalf("%dx%d verify=%v: max|A| = %g, err %v; want %g", m, n, verify, got, err, want)
+			}
+			if verify != (sums != nil) {
+				t.Fatalf("%dx%d verify=%v: column sums %v", m, n, verify, sums)
+			}
+			for j := range sums {
+				want, abs := 0.0, 0.0
+				for _, v := range a.Col(j) {
+					want, abs = want+v, abs+math.Abs(v)
+				}
+				// Any two summation orders differ by at most this.
+				if math.Abs(sums[j]-want) > float64(m)*0x1p-52*abs {
+					t.Fatalf("%dx%d: column %d sum = %g, want %g", m, n, j, sums[j], want)
+				}
+			}
+		}
 	}
 }
 
