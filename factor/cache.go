@@ -29,7 +29,7 @@ type ckey [sha256.Size]byte
 
 // cacheEntry is one resident result; val holds a *LUFactorization or
 // *QRFactorization shared by every hit (callers must treat it read-only).
-// sum is the FNV-1a digest of the resident factor matrix at insertion,
+// sum is factorChecksum's digest of the resident factor matrix at insertion,
 // rechecked on every hit: a long-lived cache is exactly the memory a
 // slow bit rot accumulates in, so a mismatching entry is evicted and the
 // request refactors instead of serving corrupted factors forever.
@@ -40,8 +40,12 @@ type cacheEntry struct {
 }
 
 // factorChecksum digests the result's in-place factor matrix (the payload
-// every hit hands out) word by word with FNV-1a. Allocation-free, so the
-// hit path stays pinned by the AllocsPerRun gate in alloc_test.go.
+// every hit hands out) with FNV-1a in eight independent lanes: element i
+// of a column feeds lane i mod 8, so eight dependent multiply chains run
+// side by side instead of one, and the lanes fold into one word at the
+// end. Every lane step is a bijection of the lane's state, so a change to
+// any one element changes the sum. Allocation-free, so the hit path stays
+// pinned by the AllocsPerRun gate in alloc_test.go.
 func factorChecksum(v any) uint64 {
 	var a *Matrix
 	switch f := v.(type) {
@@ -52,16 +56,42 @@ func factorChecksum(v any) uint64 {
 	default:
 		return 0
 	}
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+	h := [8]uint64{fnvOffset, fnvOffset, fnvOffset, fnvOffset, fnvOffset, fnvOffset, fnvOffset, fnvOffset}
 	for j := 0; j < a.Cols; j++ {
-		col := a.Data[j*a.Stride : j*a.Stride+a.Rows]
-		for _, x := range col {
-			h ^= math.Float64bits(x)
-			h *= prime
-		}
+		fnvLanes(&h, a.Data[j*a.Stride:j*a.Stride+a.Rows])
 	}
-	return h
+	sum := uint64(fnvOffset)
+	for _, x := range h {
+		sum = (sum ^ x) * fnvPrime
+	}
+	return sum
+}
+
+// The 64-bit FNV-1a offset basis and prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvLanes feeds the elements of col into the eight FNV-1a lanes h,
+// element i into lane i mod 8. The lanes are locals in the loop so their
+// chains stay in registers.
+func fnvLanes(h *[8]uint64, col []float64) {
+	h0, h1, h2, h3, h4, h5, h6, h7 := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
+	for ; len(col) >= 8; col = col[8:] {
+		h0 = (h0 ^ math.Float64bits(col[0])) * fnvPrime
+		h1 = (h1 ^ math.Float64bits(col[1])) * fnvPrime
+		h2 = (h2 ^ math.Float64bits(col[2])) * fnvPrime
+		h3 = (h3 ^ math.Float64bits(col[3])) * fnvPrime
+		h4 = (h4 ^ math.Float64bits(col[4])) * fnvPrime
+		h5 = (h5 ^ math.Float64bits(col[5])) * fnvPrime
+		h6 = (h6 ^ math.Float64bits(col[6])) * fnvPrime
+		h7 = (h7 ^ math.Float64bits(col[7])) * fnvPrime
+	}
+	*h = [8]uint64{h0, h1, h2, h3, h4, h5, h6, h7}
+	for l, x := range col {
+		h[l] = (h[l] ^ math.Float64bits(x)) * fnvPrime
+	}
 }
 
 // flight is one in-progress fill that identical concurrent requests join.

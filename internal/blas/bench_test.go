@@ -105,3 +105,53 @@ func BenchmarkDamax(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPack packs one cache block of the BLAS3 calls that dominate the
+// factorizations, on the Go loops and, where the host has them, on the
+// assembly strip kernels, and reports GB/s of elements packed (8 bytes
+// each). The A blocks are a NoTrans 128 x 100 block at lda 1024 and a
+// transposed 100 x 256 one at lda 2500; the B blocks are NoTrans 256 x 96
+// at ldb 2500 and 100 x 96 at ldb 1024.
+func BenchmarkPack(b *testing.B) {
+	shapes := []struct {
+		name       string
+		a          bool // an A block (else B)
+		trans      Transpose
+		rows, cols int // of op(A) or op(B)
+		ld         int
+	}{
+		{"A-NoTrans-128x100", true, NoTrans, 128, 100, 1024},
+		{"A-Trans-100x256", true, Trans, 100, 256, 2500},
+		{"B-NoTrans-256x96", false, NoTrans, 256, 96, 2500},
+		{"B-NoTrans-100x96", false, NoTrans, 100, 96, 1024},
+	}
+	tiles := Tiles()
+	for _, s := range shapes {
+		srcCols := s.cols // a Trans source holds op's rows as its columns
+		if s.trans == Trans {
+			srcCols = s.rows
+		}
+		src := matrix.Random(s.ld, srcCols, 10).Data
+		buf := make([]float64, ceilMul(s.rows, gemmMR)*ceilMul(s.cols, gemmNR))
+		pack := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if s.a {
+					packA(s.trans, s.rows, s.cols, 0.7, src, s.ld, buf)
+				} else {
+					packB(s.trans, s.rows, s.cols, src, s.ld, buf)
+				}
+			}
+			b.ReportMetric(8*float64(s.rows*s.cols)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		}
+		b.Run(s.name+"/generic", func(b *testing.B) {
+			defer ForceTile("generic")()
+			pack(b)
+		})
+		if len(tiles) > 1 {
+			b.Run(s.name+"/asm", func(b *testing.B) {
+				defer ForceTile(tiles[len(tiles)-1])()
+				pack(b)
+			})
+		}
+	}
+}

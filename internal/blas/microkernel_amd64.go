@@ -101,3 +101,15 @@ func idamaxAsm(x []float64) int
 
 //go:noescape
 func damaxAsm(x []float64) float64
+
+// Full-strip pack kernels (pack_amd64.s), selected by useAsmKernel. None
+// checks bounds, and each needs kc >= 1: the callers in pack.go check both.
+
+//go:noescape
+func packANoTransAsm(kc int, alpha float64, a *float64, lda int, dst *float64)
+
+//go:noescape
+func packATransAsm(kc int, alpha float64, a *float64, lda int, dst *float64)
+
+//go:noescape
+func packBNoTransAsm(kc int, b *float64, ldb int, dst *float64)

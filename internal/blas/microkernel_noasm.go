@@ -25,4 +25,8 @@ func dscalAsm(alpha float64, x []float64)    { panic(errNoAsm) }
 func idamaxAsm(x []float64) int              { panic(errNoAsm) }
 func damaxAsm(x []float64) float64           { panic(errNoAsm) }
 
+func packANoTransAsm(kc int, alpha float64, a *float64, lda int, dst *float64) { panic(errNoAsm) }
+func packATransAsm(kc int, alpha float64, a *float64, lda int, dst *float64)   { panic(errNoAsm) }
+func packBNoTransAsm(kc int, b *float64, ldb int, dst *float64)                { panic(errNoAsm) }
+
 const errNoAsm = "blas: assembly kernel called off amd64"

@@ -25,12 +25,25 @@ package blas
 // MR-strip format, scaling by alpha. For trans == NoTrans, op(A)[i,p] is
 // a[p*lda+i]; for trans == Trans it is a[i*lda+p]. buf must hold at least
 // ceilMul(mc, gemmMR)*kc elements; padded rows are zeroed.
+//
+// With useAsmKernel, every full strip of either orientation is packed by
+// an assembly kernel (pack_amd64.s), and fringe strips by the Go loops.
+// The kernels check no bounds, so before each call the last source element
+// it reads is touched here; dst is already sliced to the full strip.
 func packA(trans Transpose, mc, kc int, alpha float64, a []float64, lda int, buf []float64) {
+	if kc < 1 {
+		return
+	}
 	for ir := 0; ir < mc; ir += gemmMR {
 		ib := min(gemmMR, mc-ir)
 		dst := buf[ir*kc : ir*kc+gemmMR*kc]
 		if trans == NoTrans {
 			// Source columns are contiguous over the row index.
+			if ib == gemmMR && useAsmKernel {
+				_ = a[(kc-1)*lda+ir+gemmMR-1]
+				packANoTransAsm(kc, alpha, &a[ir], lda, &dst[0])
+				continue
+			}
 			for p := 0; p < kc; p++ {
 				src := a[p*lda+ir : p*lda+ir+ib]
 				d := dst[p*gemmMR : p*gemmMR+gemmMR]
@@ -63,13 +76,23 @@ func packA(trans Transpose, mc, kc int, alpha float64, a []float64, lda int, buf
 // packB packs the kc x nc block of op(B) whose (0,0) element is b[0] into
 // NR-strip format. For trans == NoTrans, op(B)[p,j] is b[j*ldb+p]; for
 // trans == Trans it is b[p*ldb+j]. buf must hold at least
-// kc*ceilMul(nc, gemmNR) elements; padded columns are zeroed.
+// kc*ceilMul(nc, gemmNR) elements; padded columns are zeroed. Full strips
+// of a NoTrans B go to an assembly kernel as in packA. No caller packs a
+// transposed B in a factorization, so that orientation keeps the Go loop.
 func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
+	if kc < 1 {
+		return
+	}
 	for jr := 0; jr < nc; jr += gemmNR {
 		jb := min(gemmNR, nc-jr)
 		dst := buf[jr*kc : jr*kc+gemmNR*kc]
 		if trans == NoTrans {
 			// op(B) column j is the contiguous source column b[(jr+j)*ldb:].
+			if jb == gemmNR && useAsmKernel {
+				_ = b[(jr+gemmNR-1)*ldb+kc-1]
+				packBNoTransAsm(kc, &b[jr*ldb], ldb, &dst[0])
+				continue
+			}
 			// Whole groups of four columns are packed four at a time
 			// (packBGroup); a fringe strip is cleared first, and its last
 			// columns are copied one by one.
@@ -107,8 +130,14 @@ func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
 
 // packATransStrip packs one full MR-row strip of a transposed A: the eight
 // op(A) rows are eight contiguous source rows, read as parallel streams so
-// each depth index writes one contiguous group of MR values.
+// each depth index writes one contiguous group of MR values. kc >= 1, and
+// dst holds the full strip.
 func packATransStrip(kc int, alpha float64, a []float64, lda int, dst []float64) {
+	if useAsmKernel {
+		_ = a[(gemmMR-1)*lda+kc-1]
+		packATransAsm(kc, alpha, &a[0], lda, &dst[0])
+		return
+	}
 	r0 := a[0*lda : 0*lda+kc]
 	r1 := a[1*lda : 1*lda+kc]
 	r2 := a[2*lda : 2*lda+kc]

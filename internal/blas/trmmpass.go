@@ -72,18 +72,23 @@ func packTri(upper bool, trans Transpose, diag Diag, m int, alpha float64, a []f
 			}
 			packA(trans, ib, hi-lo, alpha, a[aoff:], lda, strip[lo*gemmMR:])
 		}
-		for p := ir; p < ir+ib; p++ {
+		// Column c of the diagonal block holds the strip's rows [lo, hi)
+		// off the diagonal, those above row c (upper) or below it (lower),
+		// and the diagonal element in row c.
+		for c := 0; c < ib; c++ {
+			p := ir + c
 			d := strip[p*gemmMR : p*gemmMR+gemmMR]
-			for i := range d {
-				r := ir + i
-				switch {
-				case i >= ib || (upper && p < r) || (!upper && p > r):
-					d[i] = 0
-				case p == r && diag == Unit:
-					d[i] = alpha
-				default:
-					d[i] = alpha * opElem(trans, a, lda, r, p)
-				}
+			clear(d)
+			lo, hi := 0, c
+			if !upper {
+				lo, hi = c+1, ib
+			}
+			for i := lo; i < hi; i++ {
+				d[i] = alpha * opElem(trans, a, lda, ir+i, p)
+			}
+			d[c] = alpha
+			if diag == NonUnit {
+				d[c] = alpha * a[p*lda+p]
 			}
 		}
 	}

@@ -121,7 +121,24 @@ func Larfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	if c.Rows != m {
 		panic(fmt.Errorf("%w: Larfb C rows %d want %d", ErrShape, c.Rows, m))
 	}
-	n := c.Cols
+	// Return before taking the row views: a C with no columns may have no
+	// data (matrix.New(m, 0)), and its C2 view would slice past the end.
+	if c.Cols == 0 || k == 0 {
+		return
+	}
+	LarfbSplit(trans, v, t, c.View(0, 0, k, c.Cols), c.View(k, 0, m-k, c.Cols))
+}
+
+// LarfbSplit is Larfb with C given as two row blocks that need not be
+// adjacent: c1 holds C's first k rows, the ones V's unit triangle V1
+// meets, and c2 the other m - k, which V2 meets. TSQR applies its tree
+// nodes this way to the carriers' rows where they lie in the panel.
+func LarfbSplit(trans blas.Transpose, v, t, c1, c2 *matrix.Dense) {
+	m, k := v.Rows, v.Cols
+	n := c1.Cols
+	if c1.Rows != k || c2.Rows != m-k || c2.Cols != n {
+		panic(fmt.Errorf("%w: LarfbSplit C blocks %dx%d and %dx%d want %d and %d rows of one width", ErrShape, c1.Rows, c1.Cols, c2.Rows, c2.Cols, k, m-k))
+	}
 	if n == 0 || k == 0 {
 		return
 	}
@@ -129,13 +146,10 @@ func Larfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	// pooled workspace: every CAQR update task and GEQR3 node applies one.
 	w := scratch.Dense(k, n)
 	defer scratch.Release(w)
-	c1 := c.View(0, 0, k, n)
 	w.CopyFrom(c1)
-	v1 := v.View(0, 0, k, k)
+	v1, v2 := v.View(0, 0, k, k), v.View(k, 0, m-k, k)
 	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
 	if m > k {
-		v2 := v.View(k, 0, m-k, k)
-		c2 := c.View(k, 0, m-k, n)
 		blas.Gemm(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
 	}
 	// W = op(T)^T W — note Q = I - V T V^T so Q^T = I - V T^T V^T: applying
@@ -147,17 +161,11 @@ func Larfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	blas.Trmm(blas.Left, blas.Upper, tOp, blas.NonUnit, 1, t, w)
 	// C = C - V W.
 	if m > k {
-		v2 := v.View(k, 0, m-k, k)
-		c2 := c.View(k, 0, m-k, n)
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)
 	}
 	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
 	for j := 0; j < n; j++ {
-		cj := c1.Col(j)
-		wj := w.Col(j)
-		for i := range cj {
-			cj[i] -= wj[i]
-		}
+		blas.Daxpy(k, -1, w.Col(j), 1, c1.Col(j), 1)
 	}
 }
 

@@ -127,6 +127,23 @@ func TestLarfbRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLarfbZeroColumnC applies a reflector to a C with no columns and no
+// data, which must leave it alone rather than view C's rows past the end.
+func TestLarfbZeroColumnC(t *testing.T) {
+	m, k := 12, 4
+	v := matrix.Random(m, k, 23)
+	tau := make([]float64, k)
+	tmat := matrix.New(k, k)
+	GEQR3(v, tau, tmat)
+	for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+		c := matrix.New(m, 0)
+		Larfb(trans, v, tmat, c)
+		if c.Rows != m || c.Cols != 0 || len(c.Data) != 0 {
+			t.Fatalf("Larfb trans=%v changed a %dx0 C to %dx%d with %d elements", trans, m, c.Rows, c.Cols, len(c.Data))
+		}
+	}
+}
+
 func TestLarftMatchesGEQR3T(t *testing.T) {
 	// Larft on the reflectors from GEQR3 must rebuild the same T.
 	m, n := 25, 8

@@ -316,6 +316,27 @@ func (f *Factorization) applyNode(level, j int, c *matrix.Dense, trans blas.Tran
 		lapack.TTMQRT(trans, node.V, node.T, c1, c2)
 		return
 	}
+	if node.inPlace() {
+		c1 := c.View(node.In[0].Row, 0, node.In[0].K, c.Cols)
+		c2 := c.View(node.In[1].Row, 0, node.In[1].K, c.Cols)
+		lapack.LarfbSplit(trans, node.V, node.T, c1, c2)
+		return
+	}
+	applyNodeGathered(node, c, trans)
+}
+
+// inPlace reports whether a dense node's stack is Larfb's C1/C2 split as
+// it lies in the panel: two carriers, the first holding V's k = V.Cols
+// rows. Every binary-tree node over full-width carriers qualifies; a flat
+// tree's node, or one whose first carrier is ragged, does not.
+func (n *Node) inPlace() bool {
+	return len(n.In) == 2 && n.In[0].K == n.V.Cols
+}
+
+// applyNodeGathered applies a dense node's op(Q) to its carrier rows of c
+// through a stacked copy: the rows are gathered in V's stacking order,
+// updated by one Larfb and scattered back.
+func applyNodeGathered(node Node, c *matrix.Dense, trans blas.Transpose) {
 	total := node.V.Rows
 	// tmp is a pooled workspace: the gather loop overwrites all of it
 	// (the carriers' K sum to total, matching how V was stacked).

@@ -282,3 +282,66 @@ func TestFactorStructuredFlatFallsBack(t *testing.T) {
 		t.Fatal("flat fallback incorrect")
 	}
 }
+
+// TestNodeInPlaceMatchesGather checks that ApplyQT and ApplyQ, which apply
+// a dense tree node to its two carriers' rows where they lie when the
+// first carrier holds V's k rows, give the same bits as gathering every
+// node's rows into a stacked copy: binary trees at Tr = 2, 4 and 8, whose
+// nodes all qualify, and a flat tree at Tr = 4, whose one node keeps the
+// gather.
+func TestNodeInPlaceMatchesGather(t *testing.T) {
+	const m, w = 800, 24
+	for _, tc := range []struct {
+		tr      int
+		tree    Tree
+		inPlace bool
+	}{{2, Binary, true}, {4, Binary, true}, {8, Binary, true}, {4, Flat, false}} {
+		f := Factor(matrix.Random(m, w, int64(tc.tr)), tc.tr, tc.tree)
+		for _, lvl := range f.Levels {
+			for _, node := range lvl {
+				if node.inPlace() != tc.inPlace {
+					t.Fatalf("tr=%d tree=%v: node over %v: inPlace %v, want %v", tc.tr, tc.tree, node.In, node.inPlace(), tc.inPlace)
+				}
+			}
+		}
+		for _, trans := range []blas.Transpose{blas.Trans, blas.NoTrans} {
+			c := matrix.Random(m, 7, 99)
+			got, want := c.Clone(), c.Clone()
+			if trans == blas.Trans {
+				f.ApplyQT(got)
+			} else {
+				f.ApplyQ(got)
+			}
+			applyGathered(f, want, trans)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("tr=%d tree=%v trans=%v: element %d is %v in place, %v gathered", tc.tr, tc.tree, trans, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// applyGathered is ApplyQT (trans == Trans) or ApplyQ with every tree node
+// applied through the gathered copy.
+func applyGathered(f *Factorization, c *matrix.Dense, trans blas.Transpose) {
+	if trans == blas.Trans {
+		for i := range f.Leaves {
+			f.applyLeaf(i, c, trans)
+		}
+		for _, lvl := range f.Levels {
+			for _, node := range lvl {
+				applyNodeGathered(node, c, trans)
+			}
+		}
+		return
+	}
+	for l := len(f.Levels) - 1; l >= 0; l-- {
+		for j := len(f.Levels[l]) - 1; j >= 0; j-- {
+			applyNodeGathered(f.Levels[l][j], c, trans)
+		}
+	}
+	for i := len(f.Leaves) - 1; i >= 0; i-- {
+		f.applyLeaf(i, c, trans)
+	}
+}
