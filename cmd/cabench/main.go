@@ -20,11 +20,12 @@
 //
 // -gemm runs the kernel-level performance trajectory instead: packed
 // Goto-style Dgemm against the frozen baseline across square and panel
-// shapes plus the engine-reuse end-to-end LU, optionally writing the
-// BENCH_gemm.json report and failing (exit 1) when the square-512 speedup
-// drops below -min-speedup. CI's benchmark-smoke job runs exactly that
-// gate; the checked-in BENCH_gemm.json is regenerated with a longer
-// -sample for stable numbers.
+// shapes plus the engine-reuse end-to-end LU, each rate the median of 5
+// alternating packed/baseline windows of at least -sample, optionally
+// writing the BENCH_gemm.json report and failing (exit 1) when the
+// square-512 speedup drops below -min-speedup. CI's benchmark-smoke job
+// runs exactly that gate; the checked-in BENCH_gemm.json is regenerated
+// with a longer -sample for stable numbers.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 		gemm       = flag.Bool("gemm", false, "run the GEMM kernel trajectory instead of paper experiments")
 		jsonPath   = flag.String("json", "", "with -gemm: write the report as JSON to this path")
 		minSpeedup = flag.Float64("min-speedup", 0, "with -gemm: exit 1 if the square-512 packed/baseline speedup is below this")
-		sample     = flag.Duration("sample", 200*time.Millisecond, "with -gemm: minimum measurement window per case")
+		sample     = flag.Duration("sample", 200*time.Millisecond, "with -gemm: minimum length of each of a case's 5 timing windows per side")
 
 		obsOverhead = flag.Float64("obs-overhead", 0, "measure scheduler-instrumentation overhead on engine-reuse; exit 1 if it exceeds this percent")
 		obsRounds   = flag.Int("obs-rounds", 3, "with -obs-overhead: alternating on/off measurement rounds")

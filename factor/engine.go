@@ -30,7 +30,8 @@ var ErrOverloaded = errors.New("factor: engine overloaded")
 var ErrStalled = errors.New("factor: factorization stalled")
 
 // ErrNonFinite is re-exported from core: the input matrix contains a NaN
-// or Inf entry. Permanent — never retried.
+// or Inf entry, or a QR factorization of a finite input overflowed (R has
+// a non-finite diagonal entry). Permanent — never retried.
 var ErrNonFinite = core.ErrNonFinite
 
 // ErrCancelled is re-exported from sched: a factorization was cancelled

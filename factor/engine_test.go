@@ -2,8 +2,11 @@ package factor_test
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/factor"
 )
@@ -130,6 +133,25 @@ func TestQRShapeError(t *testing.T) {
 	}
 	if _, err := eng.LU(nil, factor.Options{}); !errors.Is(err, factor.ErrShape) {
 		t.Fatalf("engine LU(nil) = %v, want ErrShape", err)
+	}
+}
+
+// TestQROverflowNotRetried factors a finite input whose column norms
+// overflow (±MaxFloat64 entries) through an engine that retries transient
+// failures: QR fails with ErrNonFinite naming a non-finite R(j,j), and the
+// engine treats it as permanent, so no retry is spent on it.
+func TestQROverflowNotRetried(t *testing.T) {
+	a := factor.Random(20, 20, 5)
+	a.Set(3, 2, math.MaxFloat64)
+	a.Set(7, 9, -math.MaxFloat64)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2, MaxRetries: 3, RetryBackoff: time.Millisecond})
+	defer eng.Close()
+	_, err := eng.QR(a, factor.Options{BlockSize: 5})
+	if !errors.Is(err, factor.ErrNonFinite) || !strings.Contains(err.Error(), "R(") {
+		t.Fatalf("engine QR = %v, want ErrNonFinite naming R(j,j)", err)
+	}
+	if r := eng.Stats().Retries; r != 0 {
+		t.Fatalf("Stats().Retries = %d, want 0: overflow is permanent", r)
 	}
 }
 

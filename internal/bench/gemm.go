@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/factor"
@@ -33,7 +34,8 @@ type GemmCase struct {
 	// block-reflector applications hit.
 	TransA string `json:"trans_a,omitempty"`
 	// PackedGFlops is the packed-kernel rate, BaselineGFlops the frozen
-	// reference kernel's rate, both measured in this run.
+	// reference kernel's rate, both measured in this run: each is the
+	// median of 5 windows, the two sides' windows alternating.
 	PackedGFlops   float64 `json:"packed_gflops"`
 	BaselineGFlops float64 `json:"baseline_gflops"`
 	// Speedup is PackedGFlops / BaselineGFlops.
@@ -207,8 +209,27 @@ func fillSeq(n int) []float64 {
 	return s
 }
 
-// RunGemmReport measures the full trajectory. minSample bounds per-case
-// noise (CI smoke uses a short sample, the checked-in report a longer one).
+// gemmWindows is the number of timing windows per side of each case.
+const gemmWindows = 5
+
+// medianWindows times packed and base in gemmWindows windows each,
+// alternating packed, base, packed, ..., and returns each side's median
+// rate, so a change in the host's load between windows moves both sides
+// and a single slow window moves neither.
+func medianWindows(packed, base func() float64) (packedRate, baseRate float64) {
+	var p, b [gemmWindows]float64
+	for w := range p {
+		p[w], b[w] = packed(), base()
+	}
+	slices.Sort(p[:])
+	slices.Sort(b[:])
+	return p[gemmWindows/2], b[gemmWindows/2]
+}
+
+// RunGemmReport measures the full trajectory. Every case's packed and
+// baseline rates are each the median of 5 alternating windows of at least
+// minSample (CI smoke uses a short sample, the checked-in report a longer
+// one).
 func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 	mc, kc, nc := blas.BlockSizes()
 	rep := &GemmReport{
@@ -221,13 +242,15 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 		NC:     nc,
 	}
 	for _, s := range gemmShapes {
-		progress(cfg, "gemm %s: packed...", s.name)
-		packed := timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
-			blas.Dgemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
-		})
-		progress(cfg, "gemm %s: baseline...", s.name)
-		base := timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
-			baseline.RefGemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
+		progress(cfg, "gemm %s: packed and baseline, %d windows each...", s.name, gemmWindows)
+		packed, base := medianWindows(func() float64 {
+			return timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
+				blas.Dgemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
+			})
+		}, func() float64 {
+			return timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
+				baseline.RefGemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
+			})
 		})
 		gc := GemmCase{Name: s.name, M: s.m, N: s.n, K: s.k,
 			PackedGFlops: packed, BaselineGFlops: base}
@@ -244,10 +267,12 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 		if s.routine == "trmm" {
 			packed, ref = blas.Dtrmm, baseline.RefTrmm
 		}
-		progress(cfg, "tri %s: packed...", s.name)
-		pg := timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, packed)
-		progress(cfg, "tri %s: baseline...", s.name)
-		bg := timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, ref)
+		progress(cfg, "tri %s: packed and baseline, %d windows each...", s.name, gemmWindows)
+		pg, bg := medianWindows(func() float64 {
+			return timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, packed)
+		}, func() float64 {
+			return timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, ref)
+		})
 		tc := TriCase{Name: s.name, Routine: s.routine, Variant: s.variant, M: s.m, N: s.n,
 			PackedGFlops: pg, BaselineGFlops: bg}
 		if bg > 0 {

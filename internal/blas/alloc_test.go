@@ -114,7 +114,11 @@ func TestLevel12ZeroAlloc(t *testing.T) {
 
 // TestDtrsmZeroAlloc pins the recursive Dtrsm to zero steady-state
 // allocations on the CALU L-task shape: the recursion only reslices, and
-// its Dgemm updates take their pack buffers from internal/scratch.
+// its Dgemm updates take their pack buffers from internal/scratch. It
+// then pins every Unit Left variant at the U task's order 100 (the packed
+// pass, whose packed triangle and B strip come from internal/scratch and
+// whose fringe tiles live on the stack) against 100 columns and a width
+// past trmmPassNC, on every tile.
 func TestDtrsmZeroAlloc(t *testing.T) {
 	const m, n = 2500, 100
 	a, b := dominantTriangle(n, m*n)
@@ -126,6 +130,25 @@ func TestDtrsmZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, run); avg != 0 {
 		t.Fatalf("Dtrsm(%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, avg)
 	}
+	const order = 100
+	onEveryTile(t, func(t *testing.T) {
+		for _, n := range []int{order, trmmPassNC + 3} {
+			a, b := dominantTriangle(order, order*n)
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, trans := range []Transpose{NoTrans, Trans} {
+					run := func() {
+						Dtrsm(Left, uplo, trans, Unit, order, n, 1, a, order, b, order)
+					}
+					run()
+					run()
+					if avg := testing.AllocsPerRun(10, run); avg != 0 {
+						t.Fatalf("Dtrsm(Left, %v, %v, Unit, %d×%d) allocates %.1f objects per call in steady state, want 0",
+							uplo, trans, order, n, avg)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestDtrmmZeroAlloc is the Dtrmm counterpart: every Left variant at

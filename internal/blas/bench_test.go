@@ -53,6 +53,45 @@ func BenchmarkDtrsmRightUpper(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
+// BenchmarkDtrsmLeftUnit times the unit-lower left solves of the LU
+// factorizations: a CALU U task's L11 \ A_KJ, 100x100 inside a 1024-row
+// matrix, and the U12 solves of RGETF2 on a 100-wide panel (48x52 and
+// 24x24 in a 256-row tournament leaf, down to the 8x8 of its base). L's
+// off-diagonal entries are at most 1/(8m) in magnitude, so a solve scales
+// B by at most 8/7 and B, restored every 16 solves outside the timed
+// region, stays far from overflow and subnormals.
+func BenchmarkDtrsmLeftUnit(b *testing.B) {
+	const restoreEvery = 16
+	for _, s := range []struct {
+		name    string
+		m, n, l int // triangle order, right-hand sides, leading dimension
+	}{
+		{"u-task-100x100", 100, 100, 1024},
+		{"rgetf2-48x52", 48, 52, 256},
+		{"rgetf2-24x24", 24, 24, 256},
+		{"rgetf2-8x8", 8, 8, 256},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			a := matrix.Random(s.l, s.m, 11).Data
+			for i := range a {
+				a[i] /= float64(8 * s.m)
+			}
+			rhs := matrix.Random(s.l, s.n, 12).Data
+			work := make([]float64, len(rhs))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%restoreEvery == 0 {
+					b.StopTimer()
+					copy(work, rhs)
+					b.StartTimer()
+				}
+				Dtrsm(Left, Lower, NoTrans, Unit, s.m, s.n, 1, a, s.l, work, s.l)
+			}
+			b.ReportMetric(float64(s.m*s.m*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+		})
+	}
+}
+
 func BenchmarkDgemv(b *testing.B) {
 	a := matrix.Random(2048, 2048, 5)
 	x := matrix.Random(2048, 1, 6).Col(0)

@@ -177,8 +177,9 @@ func TestDgemmDifferential(t *testing.T) {
 
 // triSizes cross the recursive drivers' order-8 base and their split
 // points (multiples of 8) on both sides, the order-128 limit of the Left
-// Dtrmm's packed pass on both sides, and the narrow right-hand sides
-// (n <= 32) whose off-diagonal updates read A in place.
+// Dtrmm's and the Unit Left Dtrsm's packed passes on both sides, and the
+// narrow right-hand sides (n <= 32) whose off-diagonal updates read A in
+// place.
 var triSizes = []int{1, 2, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 100, 127, 128, 129, 130}
 
 // triShape is one triangular call the factorizations issue: side, uplo,
@@ -193,12 +194,16 @@ type triShape struct {
 }
 
 // triProduction are the task-body shapes appended to the differential
-// sweeps: CALU's L and U blocks, the Vᵀ-triangle product of Larfb, and the
-// same product on GEQRF's first trailing update of a 768² matrix, wider
-// than the packed pass's column block of B.
+// sweeps: CALU's L and U blocks, the U12 solves of RGETF2 on a 100-wide
+// panel (its 48|52 split and the 24|24 split of the left half), the
+// Vᵀ-triangle product of Larfb, and the same product on GEQRF's first
+// trailing update of a 768² matrix, wider than the packed pass's column
+// block of B.
 var triProduction = []triShape{
 	{"calu-L", blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 2500, 100},
 	{"calu-U", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
+	{"rgetf2-u12", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 24, 24},
+	{"rgetf2-u12", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 48, 52},
 	{"larfb-trmm", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
 	{"larfb-wide", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 700},
 }
@@ -267,6 +272,119 @@ func TestDtrsmDifferential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDtrsmLeftUnitResidual checks the Unit Left Dtrsm on the triangles
+// the factorizations give it: unit lower triangles whose off-diagonal
+// entries are at most 1 in magnitude, as in the L of partial pivoting,
+// including the all-(-1) one, whose inverse has the largest entries of
+// that class (2^(i-j-1)). Each is stored as L (Lower) and as Lᵀ (Upper)
+// and solved with either transpose, so every Unit Left variant runs, at
+// orders 1-17 (the order-8 base and the pass from 9 on), 100, 127 and 128,
+// against 13 right-hand sides (a full 12-column strip and a fringe one),
+// on every tile. The stored diagonal holds NaN, which a Unit solve must
+// not read. The recursion's solution on the same inputs is the NonUnit
+// Dtrsm of a copy whose stored diagonal is 1: it takes the steps the Unit
+// recursion took, since dividing by 1 is exact.
+//
+// The bound: for each triangle and right-hand side, the largest scaled
+// residual ‖op(A)X - B‖∞ / (‖op(A)‖∞·‖X‖∞·m·ε) of the four variants must be
+// at most residualFactor times the recursion's largest. The recursion's
+// own residual on the all-(-1) triangle ranges from 1e-11 to 1e-5 across
+// the variants (the storage decides whether its Dgemm updates read A in
+// place or packed), so one variant's ratio would measure its rounding
+// luck; the largest of the four does not.
+func TestDtrsmLeftUnitResidual(t *testing.T) {
+	const residualFactor = 8
+	const n = 13
+	orders := []int{100, 127, 128}
+	for m := 1; m <= 17; m++ {
+		orders = append(orders, m)
+	}
+	everyTile(t, func(t *testing.T) {
+		r := lcg(10)
+		for _, m := range orders {
+			for _, allNeg := range []bool{false, true} {
+				l := make([]float64, m*m) // L(i, k) at l[k*m+i]
+				for k := 0; k < m; k++ {
+					l[k*m+k] = 1
+					for i := k + 1; i < m; i++ {
+						l[k*m+i] = -1
+						if !allNeg {
+							l[k*m+i] = r.next()
+						}
+					}
+				}
+				lda := m + 1
+				b := randSlice(m*n, &r)
+				var pass, rec float64 // largest scaled residuals
+				for _, uplo := range []blas.Uplo{blas.Lower, blas.Upper} {
+					for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+						a := make([]float64, lda*m)
+						for k := 0; k < m; k++ {
+							for i := 0; i < m; i++ {
+								v := l[k*m+i] // store L, or Lᵀ for Upper
+								if uplo == blas.Upper {
+									v = l[i*m+k]
+								}
+								a[k*lda+i] = v
+							}
+							a[k*lda+k] = math.NaN()
+						}
+						unit := slices.Clone(a)
+						for k := 0; k < m; k++ {
+							unit[k*lda+k] = 1
+						}
+						opA := func(i, k int) float64 { // L, or Lᵀ for an upper op(A)
+							if (uplo == blas.Lower) != (trans == blas.NoTrans) {
+								i, k = k, i
+							}
+							return l[k*m+i]
+						}
+						x, y := slices.Clone(b), slices.Clone(b)
+						blas.Dtrsm(blas.Left, uplo, trans, blas.Unit, m, n, 1, a, lda, x, m)
+						blas.Dtrsm(blas.Left, uplo, trans, blas.NonUnit, m, n, 1, unit, lda, y, m)
+						pass = max(pass, scaledResidual(m, n, opA, x, b))
+						rec = max(rec, scaledResidual(m, n, opA, y, b))
+					}
+				}
+				if !(pass <= residualFactor*rec) {
+					t.Fatalf("m=%d all(-1)=%v: largest scaled residual %.3g, the recursion's %.3g, want at most %d times it",
+						m, allNeg, pass, rec, residualFactor)
+				}
+			}
+		}
+	})
+}
+
+// scaledResidual returns ‖op(A)X - B‖∞ / (‖op(A)‖∞·‖X‖∞·m·ε) for the
+// m x m op(A), given by element, and m x n X and B (leading dimension m).
+// Each residual entry is summed with the error of every product and sum
+// carried along (compensated, with math.FMA), so that its own rounding
+// stays far below the solve's.
+func scaledResidual(m, n int, opA func(i, k int) float64, x, b []float64) float64 {
+	var normA, normX, normR float64
+	for i := 0; i < m; i++ {
+		var rowA, rowX, rowR float64
+		for k := 0; k < m; k++ {
+			rowA += math.Abs(opA(i, k))
+		}
+		for j := 0; j < n; j++ {
+			rowX += math.Abs(x[j*m+i])
+			s, c := -b[j*m+i], 0.0
+			for k := 0; k < m; k++ {
+				p := opA(i, k) * x[j*m+k]
+				pe := math.FMA(opA(i, k), x[j*m+k], -p)
+				t := s + p
+				z := t - s
+				c += pe + (s - (t - z)) + (p - z)
+				s = t
+			}
+			rowR += math.Abs(s + c)
+		}
+		normA, normX, normR = max(normA, rowA), max(normX, rowX), max(normR, rowR)
+	}
+	return normR / (normA * normX * float64(m) * 0x1p-52)
 }
 
 func TestDtrmmDifferential(t *testing.T) {

@@ -11,12 +11,13 @@ import (
 // pack -> macrokernel over cache-sized blocks, with the pack buffers
 // recycled through internal/scratch. Dtrsm and Dtrmm are recursive drivers
 // that halve the triangle and push all off-diagonal work through Dgemm.
-// Dtrsm and the Right-side Dtrmm halve down to one register tile and
-// solve/multiply those with the unblocked kernels in level3unb.go; the
-// Left-side Dtrmm stops at order trmmPassMax and multiplies the rest in
-// one packed pass (trmmpass.go). So every BLAS3 routine's bulk flops run
-// on the one microkernel. The pre-refactor unpacked kernels live on as
-// baseline.RefGemm/RefTrsm/RefTrmm, the differential-testing references.
+// The Right-side routines and the NonUnit Left Dtrsm halve down to one
+// register tile and solve/multiply those with the unblocked kernels in
+// level3unb.go; the Left-side Dtrmm and the Unit Left Dtrsm stop at order
+// trmmPassMax and finish in one packed pass (trmmpass.go, trsmpass.go).
+// So every BLAS3 routine's bulk flops run on the one microkernel. The
+// pre-refactor unpacked kernels live on as baseline.RefGemm/RefTrsm/RefTrmm,
+// the differential-testing references.
 
 // Register tile of the packed Dgemm. These are fixed by the tile
 // implementations (microkernel.go, microkernel_amd64.s); the cache block
@@ -193,7 +194,18 @@ func scaleCols(n, m int, beta float64, c []float64, ldc int) {
 // (side == Right) for X, overwriting B. A is triangular. The driver halves
 // the triangle recursively (see trsmLeft/trsmRight): each off-diagonal
 // block is one packed Dgemm update, and only triangles of order <= triBase
-// reach the unblocked kernels in level3unb.go.
+// reach the unblocked kernels in level3unb.go. On the Left a Unit triangle
+// of order 9 to 128 (trmmPassMax) is one packed pass on the microkernel
+// instead (trsmPass), which covers every U task of CALU and the U12
+// solves of RGETF2 and GETRF at block sizes up to 128: each 8x8 diagonal
+// block of op(A) is inverted once, and each 8-row strip of X is its
+// inverse times B's strip less the rows already solved. op(A)'s other
+// triangle and its Unit diagonal are never read. Like Dtrmm's pass, this
+// multiplies each 8x8 diagonal block zeros and all, so an Inf or NaN in B
+// may spread as NaN to the other rows of its 8-row strip. The inverted
+// block's entries are bounded by 2⁶ only when |op(A)(i, j)| <= 1, as in
+// the L of partial pivoting; NonUnit Left solves, whose inverted blocks
+// would have no bound, keep the recursion.
 func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
 	if side == Right {
@@ -240,12 +252,19 @@ func offDiag(uplo Uplo, n1 int, a []float64, lda int) []float64 {
 }
 
 // trsmLeft solves op(A)*X = B in place for an m x m triangle against an
-// m x n right-hand side. With op(A) = [A11 0; A21 A22] (lower) it solves
-// X1 = A11\B1, updates B2 -= A21*X1 and solves X2 = A22\B2; an upper op(A)
-// runs the same steps bottom-up.
+// m x n right-hand side. A triangle of one register tile goes to the
+// unblocked kernel, and a larger Unit triangle of order at most
+// trmmPassMax is one packed pass (trsmPass). Otherwise, with
+// op(A) = [A11 0; A21 A22] (lower) it solves X1 = A11\B1, updates
+// B2 -= A21*X1 and solves X2 = A22\B2; an upper op(A) runs the same steps
+// bottom-up.
 func trsmLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
 	if m <= triBase {
 		trsmUnbLeft(uplo, trans, diag, m, n, a, lda, b, ldb)
+		return
+	}
+	if diag == Unit && m <= trmmPassMax {
+		trsmPass(uplo, trans, m, n, a, lda, b, ldb)
 		return
 	}
 	m1 := triSplit(m)

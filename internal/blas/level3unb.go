@@ -1,10 +1,11 @@
 package blas
 
 // Unblocked triangular kernels: the base cases of the recursive Dtrsm and
-// Right-side Dtrmm in level3.go (the Left-side Dtrmm base is the packed
-// pass in trmmpass.go). They only see triangles of order <= triBase (one
-// register tile); all off-diagonal work happens in the packed Dgemm. Shape
-// validation happened in the public routines.
+// Right-side Dtrmm in level3.go (the Left-side Dtrmm and the larger Unit
+// Left Dtrsm bases are the packed passes in trmmpass.go and trsmpass.go).
+// They only see triangles of order <= triBase (one register tile); all
+// off-diagonal work happens in the packed Dgemm. Shape validation happened
+// in the public routines.
 
 // trsmUnbLeft solves op(A)*X = B in place, column by column, for an m x m
 // triangle (alpha already applied by the driver).

@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
@@ -231,13 +232,23 @@ func (p *PreparedQR) attach(events []sched.Event, g *sched.Graph) {
 }
 
 // Finish completes the request after Run, with the same error contract as
-// PreparedLU.Finish. For a wide matrix it applies Q^T to the columns right
-// of the leading square block, leaving the m x n upper-trapezoidal R.
+// PreparedLU.Finish. A finite input whose Householder norms overflow (an
+// entry near MaxFloat64) leaves a non-finite R; Finish reads R's min(m, n)
+// diagonal entries and fails such a request with an error wrapping
+// ErrNonFinite that names the first non-finite one. For a wide matrix it
+// then applies Q^T to the columns right of the leading square block,
+// leaving the m x n upper-trapezoidal R.
 func (p *PreparedQR) Finish(runErr error) (*QRResult, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("core: CAQR execution failed: %w", runErr)
 	}
-	if right := wideRight(p.res.A); right != nil {
+	a := p.res.A
+	for j := 0; j < min(a.Rows, a.Cols); j++ {
+		if r := a.At(j, j); !(math.Abs(r) <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: R(%d,%d) = %v, the factorization overflowed", ErrNonFinite, j, j, r)
+		}
+	}
+	if right := wideRight(a); right != nil {
 		applyPanelsQT(p.res, right)
 	}
 	return p.res, nil

@@ -40,12 +40,15 @@ var ErrShape = errors.New("core: invalid matrix shape")
 // Errors returned by CALU wrap it, so errors.Is(err, ErrSingular) works.
 var ErrSingular = tslu.ErrSingular
 
-// ErrNonFinite reports a NaN or Inf entry in the input matrix. CALU and
-// CAQR reject such inputs before building the task graph: a single
-// non-finite entry silently poisons the whole factorization (pivot
-// comparisons with NaN are false, so even the pivoting goes wrong), and no
-// amount of retrying helps — it is a permanent input error, not a
-// transient one.
+// ErrNonFinite reports a NaN or Inf entry in the input matrix, or a CAQR
+// factorization that overflowed. CALU and CAQR reject non-finite inputs
+// before building the task graph: a single non-finite entry silently
+// poisons the whole factorization (pivot comparisons with NaN are false,
+// so even the pivoting goes wrong). A finite input with entries near
+// MaxFloat64 can still overflow CAQR's column norms; PreparedQR.Finish
+// then fails the request, naming the first non-finite diagonal entry of R.
+// Either way no amount of retrying helps — it is a permanent input error,
+// not a transient one.
 var ErrNonFinite = errors.New("core: matrix contains a non-finite value")
 
 // ErrCorrupted reports that verify mode (Options.Verify) detected silent

@@ -70,7 +70,9 @@ func TestNonFiniteRejected(t *testing.T) {
 
 // TestFiniteExtremesAccepted: finite entries at the ends of the range,
 // +-MaxFloat64 and subnormals, pass the scan, which reports the largest as
-// max|A|, and the input factors without error.
+// max|A|. CALU factors the input without error into finite factors. CAQR's
+// column norms overflow on it, so it fails with ErrNonFinite naming the
+// first non-finite diagonal entry of R.
 func TestFiniteExtremesAccepted(t *testing.T) {
 	const n = 20
 	a := matrix.Random(n, n, 5)
@@ -84,11 +86,24 @@ func TestFiniteExtremesAccepted(t *testing.T) {
 	if err != nil || maxA != math.MaxFloat64 {
 		t.Fatalf("prepareInput = max %g, err %v; want max MaxFloat64, no error", maxA, err)
 	}
-	if _, err := CALU(a.Clone(), Options{BlockSize: 5}); err != nil {
+	lu, err := CALU(a.Clone(), Options{BlockSize: 5})
+	if err != nil {
 		t.Fatalf("CALU: %v", err)
 	}
-	if _, err := CAQR(a.Clone(), Options{BlockSize: 5}); err != nil {
-		t.Fatalf("CAQR: %v", err)
+	for k, v := range lu.A.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("CALU factor element %d = %v, want every entry finite", k, v)
+		}
+	}
+	qr := a.Clone()
+	_, err = CAQR(qr, Options{BlockSize: 5})
+	j := 0
+	for j < n-1 && math.Abs(qr.At(j, j)) <= math.MaxFloat64 {
+		j++
+	}
+	want := fmt.Sprintf("R(%d,%d) = %v, the factorization overflowed", j, j, qr.At(j, j))
+	if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CAQR: err = %v, want ErrNonFinite naming %s", err, want)
 	}
 }
 
