@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,9 +71,49 @@ func randomData(r, c int, seed int64) []float64 {
 	return out
 }
 
+// checkLUWire checks that the factors and permutation of an n x n LU
+// response reconstruct the request's column-major data: A[perm[i], :] =
+// (L*U)[i, :] with ||PA - LU||_F / (||A||_F * n * eps) at most 10, the
+// benchmark's backward-error bound, and that perm is not the identity.
+func checkLUWire(t *testing.T, n int, data, factors []float64, perm []int) {
+	t.Helper()
+	if len(perm) != n {
+		t.Fatalf("permutation has %d entries, want %d", len(perm), n)
+	}
+	moved := false
+	for i, p := range perm {
+		moved = moved || p != i
+	}
+	if !moved {
+		t.Fatal("permutation is the identity")
+	}
+	a := factor.FromColMajor(n, n, n, data)
+	lu := factor.FromColMajor(n, n, n, factors)
+	diff, norm := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for k := 0; k <= min(i, j); k++ {
+				l := 1.0 // L's unit diagonal
+				if k < i {
+					l = lu.At(i, k)
+				}
+				s += l * lu.At(k, j)
+			}
+			v := a.At(perm[i], j)
+			diff += (v - s) * (v - s)
+			norm += v * v
+		}
+	}
+	if back := math.Sqrt(diff) / (math.Sqrt(norm) * float64(n) * 0x1p-52); !(back <= 10) {
+		t.Fatalf("A[perm, :] - L*U scaled backward error %.3g n*eps, want <= 10", back)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
-	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: randomData(8, 8, 1), Options: jsonOptions{BlockSize: 4}})
+	data := randomData(8, 8, 1)
+	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: data, Options: jsonOptions{BlockSize: 4}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
@@ -85,6 +126,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if out.Rows != 8 || out.Cols != 8 || len(out.Factors) != 64 || len(out.Perm) != 8 {
 		t.Fatalf("malformed response: rows=%d cols=%d factors=%d perm=%d", out.Rows, out.Cols, len(out.Factors), len(out.Perm))
 	}
+	checkLUWire(t, 8, data, out.Factors, out.Perm)
 
 	// QR over the same service.
 	qb, _ := json.Marshal(jsonRequest{Rows: 12, Cols: 8, Data: randomData(12, 8, 2), Options: jsonOptions{BlockSize: 4}})
@@ -140,6 +182,19 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if len(body) != 8*8*8 {
 		t.Fatalf("binary response is %d bytes, want %d", len(body), 8*8*8)
 	}
+	var perm []int
+	for _, f := range strings.Fields(resp.Header.Get("X-Permutation")) {
+		p, err := strconv.Atoi(f)
+		if err != nil {
+			t.Fatalf("X-Permutation entry %q: %v", f, err)
+		}
+		perm = append(perm, p)
+	}
+	factors := make([]float64, 8*8)
+	for i := range factors {
+		factors[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	checkLUWire(t, 8, data, factors, perm)
 
 	// The binary factors must match the JSON encoding of the same request.
 	jresp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: data, Options: jsonOptions{BlockSize: 4}})

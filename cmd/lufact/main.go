@@ -111,11 +111,11 @@ func main() {
 			cp.Report(os.Stdout)
 		}
 	case "tslu":
-		sw, err := tslu.Factor(a, *tr, tree)
+		ipiv, err := tslu.Factor(a, *tr, tree)
 		fail(err)
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()
-		tslu.ApplyPivots(pa, sw, 0)
+		lapack.LASWP(pa, ipiv, 0, len(ipiv))
 		report = stability.LUMetrics(a, pa, orig)
 	case "getrf":
 		ipiv := make([]int, min(*m, *n))

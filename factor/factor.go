@@ -42,6 +42,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -262,10 +263,10 @@ func solo(ctx context.Context, pool *sched.Pool) func(core.Request) error {
 func (f *LUFactorization) Factors() *Matrix { return f.res.A }
 
 // Permute applies the factorization's row permutation P to b in place.
-func (f *LUFactorization) Permute(b *Matrix) { f.res.ApplyPerm(b) }
+func (f *LUFactorization) Permute(b *Matrix) { lapack.LASWP(b, f.res.Ipiv, 0, len(f.res.Ipiv)) }
 
 // Solve solves A*x = rhs for square A, overwriting rhs with x.
-func (f *LUFactorization) Solve(rhs *Matrix) { f.res.Solve(rhs) }
+func (f *LUFactorization) Solve(rhs *Matrix) { lapack.LUSolve(f.res.A, f.res.Ipiv, rhs) }
 
 // Events returns the per-task execution trace — kind, worker and timing of
 // every task — when Options.Trace was set, and nil otherwise.
@@ -330,12 +331,16 @@ func (f *QRFactorization) Events() []TaskEvent {
 }
 
 // SolveTranspose solves A^T * x = rhs for square A, overwriting rhs.
-func (f *LUFactorization) SolveTranspose(rhs *Matrix) { f.res.SolveTranspose(rhs) }
+func (f *LUFactorization) SolveTranspose(rhs *Matrix) {
+	lapack.LUSolveTranspose(f.res.A, f.res.Ipiv, rhs)
+}
 
 // Condition estimates the reciprocal 1-norm condition number given the
 // 1-norm of the original matrix (capture it with NormOne before factoring).
 // Returns 0 for a singular factor.
-func (f *LUFactorization) Condition(anorm float64) float64 { return f.res.RCond(anorm) }
+func (f *LUFactorization) Condition(anorm float64) float64 {
+	return lapack.GECON(f.res.A, f.res.Ipiv, anorm)
+}
 
 // SolveRefined solves A*x = rhs with the given number of iterative
 // refinement steps; orig must be the original (unfactored) matrix. It
@@ -346,21 +351,11 @@ func (f *LUFactorization) SolveRefined(orig, rhs *Matrix, iters int) float64 {
 
 // Inverse forms A^{-1} from the factorization. Prefer Solve where possible:
 // the explicit inverse costs an extra n^3 flops and is less accurate.
-func (f *LUFactorization) Inverse() *Matrix { return f.res.Inverse() }
+func (f *LUFactorization) Inverse() *Matrix { return lapack.GETRI(f.res.A, f.res.Ipiv) }
 
 // PermutationVector returns the factorization's row permutation as an
 // explicit vector p, where row i of the factored matrix corresponds to row
 // p[i] of the original.
 func (f *LUFactorization) PermutationVector() []int {
-	n := f.res.A.Rows
-	lab := matrix.New(n, 1)
-	for i := 0; i < n; i++ {
-		lab.Set(i, 0, float64(i))
-	}
-	f.res.ApplyPerm(lab)
-	p := make([]int, n)
-	for i := 0; i < n; i++ {
-		p[i] = int(lab.At(i, 0))
-	}
-	return p
+	return lapack.IpivToPerm(f.res.Ipiv, f.res.A.Rows)
 }

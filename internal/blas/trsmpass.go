@@ -17,7 +17,8 @@ import "repro/internal/scratch"
 //  3. X is packed into bp for the rows that follow.
 //
 // bp holds one NR-column strip at depth m, so it stays in L1 while the
-// strip is solved.
+// strip is solved. A tile of B packs exactly as packB packs an ib x jb B,
+// element (i, j) at i*NR + j with fringe columns zeroed, so packB does it.
 func trsmPass(uplo Uplo, trans Transpose, m, n int, a []float64, lda int, b []float64, ldb int) {
 	upper := (uplo == Upper) == (trans == NoTrans)
 	ap := scratch.Get(ceilMul(m, gemmMR) * m)
@@ -26,9 +27,6 @@ func trsmPass(uplo Uplo, trans Transpose, m, n int, a []float64, lda int, b []fl
 	invertDiag(upper, m, ap)
 	bp := scratch.Get(m * gemmNR)
 	defer scratch.Put(bp)
-	// A fringe strip of B leaves columns of bp unwritten; the tiles never
-	// add them to B, but clearing keeps stale scratch out of the FMAs.
-	clear(bp)
 	strips := (m + gemmMR - 1) / gemmMR
 	for jr := 0; jr < n; jr += gemmNR {
 		jb := min(gemmNR, n-jr)
@@ -50,10 +48,10 @@ func trsmPass(uplo Uplo, trans Transpose, m, n int, a []float64, lda int, b []fl
 				kernelTile(hi-lo, as[lo*gemmMR:hi*gemmMR], gemmMR, bp[lo*gemmNR:hi*gemmNR], c, ldb, 1, ib, jb)
 			}
 			bs := bp[ir*gemmNR : (ir+ib)*gemmNR]
-			packTile(ib, jb, c, ldb, bs)
+			packB(NoTrans, ib, jb, c, ldb, bs)
 			kernelTile(ib, as[ir*gemmMR:(ir+ib)*gemmMR], gemmMR, bs, c, ldb, 1, ib, jb)
 			if s < strips-1 {
-				packTile(ib, jb, c, ldb, bs)
+				packB(NoTrans, ib, jb, c, ldb, bs)
 			}
 		}
 	}
@@ -100,22 +98,5 @@ func invertDiag(upper bool, m int, ap []float64) {
 			*(*[gemmMR]float64)(blk[c*gemmMR:]) = *zc
 			zc[c] = 1
 		}
-	}
-}
-
-// packTile packs the ib x jb tile of B at b (leading dimension ldb) into
-// rows [0, ib) of a packed NR-wide strip, element (i, j) at i*NR + j. A
-// full-height column is copied with constant offsets.
-func packTile(ib, jb int, b []float64, ldb int, dst []float64) {
-	for j := 0; j < jb; j++ {
-		if ib < gemmMR {
-			for i, v := range b[j*ldb : j*ldb+ib] {
-				dst[i*gemmNR+j] = v
-			}
-			continue
-		}
-		col, d := b[j*ldb:j*ldb+gemmMR], dst[j:j+7*gemmNR+1]
-		d[0*gemmNR], d[1*gemmNR], d[2*gemmNR], d[3*gemmNR] = col[0], col[1], col[2], col[3]
-		d[4*gemmNR], d[5*gemmNR], d[6*gemmNR], d[7*gemmNR] = col[4], col[5], col[6], col[7]
 	}
 }

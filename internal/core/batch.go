@@ -23,9 +23,9 @@ import (
 	"math"
 
 	"repro/internal/blas"
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/tslu"
 )
 
 // Request is a prepared factorization, a *PreparedLU or a *PreparedQR,
@@ -172,15 +172,15 @@ func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
 	}
 	b, res := p.b, p.res
 	bs := b.opt.BlockSize
-	for k := 1; k < len(b.swaps); k++ {
-		tslu.ApplyPivots(b.a.View(0, 0, b.m, k*bs), b.swaps[k], k*bs)
+	for k := 1; k < b.nb; k++ {
+		lapack.LASWP(b.a.View(0, 0, b.m, k*bs), b.ipiv, k*bs, min(b.n, (k+1)*bs))
 	}
 	for k, err := range b.errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: CALU panel %d: %w", k, err)
 		}
 	}
-	res.Swaps = b.swaps
+	res.Ipiv = b.ipiv
 	for k, fb := range b.fellBack {
 		if fb {
 			res.FallbackPanels = append(res.FallbackPanels, k)
@@ -192,7 +192,7 @@ func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
 		}
 	}
 	if right := wideRight(res.A); right != nil {
-		res.ApplyPerm(right)
+		lapack.LASWP(right, res.Ipiv, 0, len(res.Ipiv))
 		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, b.a, right)
 	}
 	return res, nil

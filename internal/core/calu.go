@@ -18,9 +18,10 @@ type LUResult struct {
 	// A holds the in-place factors: L unit lower (below the diagonal) and
 	// U upper, with row interchanges already applied (so P*Aorig = L*U).
 	A *matrix.Dense
-	// Swaps holds one swap list per iteration, with absolute row indices;
-	// iteration K's list starts at row K*b. Together they define P.
-	Swaps [][]int
+	// Ipiv is P in LAPACK form, length min(m, n): row i was interchanged
+	// with row Ipiv[i] >= i, for i = 0, 1, ... in order (lapack.LASWP).
+	// Iteration K's panel wrote the entries from K*b to the panel's end.
+	Ipiv []int
 	// Events is the execution trace, non-nil only when Options.Trace is set.
 	Events []sched.Event
 	// Graph is the executed task graph (retained for inspection).
@@ -33,33 +34,6 @@ type LUResult struct {
 	// (Options.Verify) recomputed in place after a checksum mismatch, in
 	// ascending order. Empty when verify is off or nothing was corrupted.
 	RecomputedPanels []int
-}
-
-// ApplyPerm applies the factorization's full row permutation P to b
-// (b := P*b), as needed to solve A x = y via L U x = P y.
-func (r *LUResult) ApplyPerm(b *matrix.Dense) {
-	for k, sw := range r.Swaps {
-		tslu.ApplyPivots(b, sw, r.swapOrigin(k))
-	}
-}
-
-// swapOrigin returns the row at which iteration k's swaps anchor.
-func (r *LUResult) swapOrigin(k int) int {
-	at := 0
-	for i := 0; i < k; i++ {
-		at += len(r.Swaps[i])
-	}
-	return at
-}
-
-// Solve solves A*x = rhs for square factored A, overwriting rhs with x.
-func (r *LUResult) Solve(rhs *matrix.Dense) {
-	if r.A.Rows != r.A.Cols {
-		panic(fmt.Errorf("%w: Solve needs square matrix, got %dx%d", ErrShape, r.A.Rows, r.A.Cols))
-	}
-	r.ApplyPerm(rhs)
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, r.A, rhs)
-	blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, r.A, rhs)
 }
 
 // CALU computes the communication-avoiding LU factorization with tournament
@@ -98,8 +72,9 @@ func BuildCALUGraph(m, n int, opt Options) *sched.Graph {
 type caluBuilder struct {
 	builder
 
-	// Per-iteration results of a bound build.
-	swaps    [][]int
+	// Per-iteration results of a bound build. ipiv is LUResult.Ipiv: each
+	// panel's finalize task writes its segment [c0, c1).
+	ipiv     []int
 	errs     []error
 	fellBack []bool // growth guardrail took the GEPP path
 
@@ -139,7 +114,7 @@ func (b *caluBuilder) taintedBefore(k int) bool {
 
 func newCALUBuilder(m, n int, opt *Options) *caluBuilder {
 	b := &caluBuilder{builder: newBuilder(m, n, opt)}
-	b.swaps = make([][]int, b.nb)
+	b.ipiv = make([]int, n)
 	b.errs = make([]error, b.nb)
 	b.fellBack = make([]bool, b.nb)
 	return b
@@ -256,7 +231,8 @@ func (b *caluBuilder) buildIteration(k int) {
 		}
 	}
 
-	// --- Finalize: build swaps, pivot the panel, write the composite. ---
+	// --- Finalize: write the panel's ipiv segment, pivot the panel, write
+	// the composite. ---
 	fin := &sched.Task{
 		Label:    fmt.Sprintf("F k=%d", k),
 		Kind:     sched.KindP,
@@ -307,10 +283,9 @@ func (b *caluBuilder) buildIteration(k int) {
 				b.geppFallback(k, r0, c0, w)
 				return
 			}
-			sw := tslu.BuildSwaps(root.Idx, r0)
-			b.swaps[k] = sw
+			copy(b.ipiv[r0:c1], tslu.BuildSwaps(root.Idx, r0))
 			colView := b.a.View(0, c0, b.m, w)
-			tslu.ApplyPivots(colView, sw, r0)
+			lapack.LASWP(colView, b.ipiv, r0, c1)
 			kk := root.Fac.Rows
 			colView.View(r0, 0, kk, w).CopyFrom(root.Fac)
 			if kk < min(mr, w) {
@@ -373,8 +348,7 @@ func (b *caluBuilder) buildIteration(k int) {
 		if b.a != nil {
 			t := u
 			t.Run = func() {
-				colView := b.a.View(0, gc0, b.m, gw)
-				tslu.ApplyPivots(colView, b.swaps[k], r0)
+				lapack.LASWP(b.a.View(0, gc0, b.m, gw), b.ipiv, r0, c1)
 				lkk := b.a.View(r0, c0, w, w)
 				ukj := b.a.View(r0, gc0, w, gw)
 				blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, lkk, ukj)
@@ -463,14 +437,15 @@ func candRows(cands []*tslu.Candidates, slot int) []float64 {
 // geppFallback re-factors iteration k's panel with straight partial
 // pivoting (the recursive GEPP kernel) after the growth guardrail tripped
 // or verify mode caught a corrupted tournament, producing output in exactly
-// the tournament finalize's shape: the GEPP interchanges become the
-// iteration's swap list, applied to the full block column, and the factor's
-// leading square block becomes the composite L\U — the downstream L/U/S
-// tasks cannot tell which pivoting produced them. A rank-deficient panel is
-// recorded in b.errs like the tournament path does. In verify mode the
-// recomputed factor must itself reproduce the panel's pre-factoring column
-// sums; a recomputation that disagrees again escalates to ErrCorrupted (the
-// recovery ladder's next rung: full retry from the original matrix).
+// the tournament finalize's shape: RGETF2 writes the iteration's ipiv
+// segment, offset to absolute rows and applied to the full block column,
+// and the factor's leading square block becomes the composite L\U — the
+// downstream L/U/S tasks cannot tell which pivoting produced them. A
+// rank-deficient panel is recorded in b.errs like the tournament path does.
+// In verify mode the recomputed factor must itself reproduce the panel's
+// pre-factoring column sums; a recomputation that disagrees again escalates
+// to ErrCorrupted (the recovery ladder's next rung: full retry from the
+// original matrix).
 func (b *caluBuilder) geppFallback(k, r0, c0, w int) {
 	mr := b.m - r0
 	panel := scratch.Dense(mr, w)
@@ -482,19 +457,17 @@ func (b *caluBuilder) geppFallback(k, r0, c0, w int) {
 		abft.ColumnSums(panel, ws)
 	}
 	kk := min(mr, w)
-	ipiv := make([]int, kk)
-	err := lapack.RGETF2(panel, ipiv)
+	seg := b.ipiv[r0 : r0+kk]
+	err := lapack.RGETF2(panel, seg)
 	if b.verifyOn() && err == nil && !abft.VerifyGEPPPanel(panel, ws, b.vtol()) {
 		scratch.Release(panel)
 		panic(fmt.Errorf("%w: CALU panel %d recomputation failed verification", ErrCorrupted, k))
 	}
-	sw := make([]int, kk)
-	for j, p := range ipiv {
-		sw[j] = r0 + p
+	for j := range seg {
+		seg[j] += r0
 	}
-	b.swaps[k] = sw
 	colView := b.a.View(0, c0, b.m, w)
-	tslu.ApplyPivots(colView, sw, r0)
+	lapack.LASWP(colView, b.ipiv, r0, r0+kk)
 	colView.View(r0, 0, kk, w).CopyFrom(panel.View(0, 0, kk, w))
 	scratch.Release(panel)
 	if err != nil {
@@ -508,59 +481,6 @@ func luFlops(r, c int) float64 {
 	return fr*fc*fc - fc*fc*fc/3
 }
 
-// ApplyPermInverse applies P^T (the inverse row permutation) to b,
-// reversing ApplyPerm.
-func (r *LUResult) ApplyPermInverse(b *matrix.Dense) {
-	for k := len(r.Swaps) - 1; k >= 0; k-- {
-		tslu.UndoPivots(b, r.Swaps[k], r.swapOrigin(k))
-	}
-}
-
-// SolveTranspose solves A^T * x = rhs for square factored A, overwriting
-// rhs with x: with P A = L U, A^T = U^T L^T P, so x = P^T (L^T)^-1 (U^T)^-1 rhs.
-func (r *LUResult) SolveTranspose(rhs *matrix.Dense) {
-	if r.A.Rows != r.A.Cols {
-		panic(fmt.Errorf("%w: SolveTranspose needs square matrix, got %dx%d", ErrShape, r.A.Rows, r.A.Cols))
-	}
-	blas.Trsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, r.A, rhs)
-	blas.Trsm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, r.A, rhs)
-	r.ApplyPermInverse(rhs)
-}
-
-// RCond estimates the reciprocal 1-norm condition number of the factored
-// matrix given the 1-norm of the original (unfactored) matrix, via Hager's
-// estimator on the implicit inverse. Returns 0 for a singular factor.
-func (r *LUResult) RCond(anorm float64) float64 {
-	n := r.A.Rows
-	if n != r.A.Cols {
-		panic(fmt.Errorf("%w: RCond needs square matrix", ErrShape))
-	}
-	for i := 0; i < n; i++ {
-		if r.A.At(i, i) == 0 {
-			return 0
-		}
-	}
-	if anorm == 0 {
-		return 0
-	}
-	buf := matrix.New(n, 1)
-	invNorm := lapack.OneNormEst(n,
-		func(x []float64) {
-			copy(buf.Col(0), x)
-			r.Solve(buf)
-			copy(x, buf.Col(0))
-		},
-		func(x []float64) {
-			copy(buf.Col(0), x)
-			r.SolveTranspose(buf)
-			copy(x, buf.Col(0))
-		})
-	if invNorm <= 0 {
-		return 0
-	}
-	return 1 / (anorm * invNorm)
-}
-
 // SolveRefined solves A*x = rhs with iterative refinement: orig must be the
 // original (unfactored) matrix. rhs is overwritten with the refined
 // solution; the returned value is the final correction's max-norm, a cheap
@@ -570,13 +490,13 @@ func (r *LUResult) SolveRefined(orig *matrix.Dense, rhs *matrix.Dense, iters int
 		panic(fmt.Errorf("%w: SolveRefined original matrix has wrong shape", ErrShape))
 	}
 	b := rhs.Clone()
-	r.Solve(rhs) // rhs now holds x0
+	lapack.LUSolve(r.A, r.Ipiv, rhs) // rhs now holds x0
 	last := 0.0
 	for it := 0; it < iters; it++ {
 		// residual = b - A x
 		resid := b.Clone()
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, orig, rhs, 1, resid)
-		r.Solve(resid)
+		lapack.LUSolve(r.A, r.Ipiv, resid)
 		for j := 0; j < rhs.Cols; j++ {
 			x, d := rhs.Col(j), resid.Col(j)
 			for i := range x {
@@ -586,21 +506,4 @@ func (r *LUResult) SolveRefined(orig *matrix.Dense, rhs *matrix.Dense, iters int
 		last = resid.MaxAbs()
 	}
 	return last
-}
-
-// Inverse computes A^{-1} from the factorization by solving A X = I. For
-// most uses prefer Solve: forming the inverse costs an extra n^3 flops and
-// is less accurate.
-func (r *LUResult) Inverse() *matrix.Dense {
-	n := r.A.Rows
-	if n != r.A.Cols {
-		panic(fmt.Errorf("%w: Inverse needs square matrix", ErrShape))
-	}
-	inv := matrix.Identity(n)
-	const nb = 32
-	for j := 0; j < n; j += nb {
-		jb := min(nb, n-j)
-		r.Solve(inv.View(0, j, n, jb))
-	}
-	return inv
 }

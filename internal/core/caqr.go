@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/abft"
 	"repro/internal/blas"
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/tsqr"
@@ -30,17 +31,7 @@ type QRResult struct {
 
 // R returns a copy of the upper-triangular (m >= n) or upper-trapezoidal
 // (m < n) factor, of size min(m, n) x n.
-func (r *QRResult) R() *matrix.Dense {
-	k := min(r.A.Rows, r.A.Cols)
-	n := r.A.Cols
-	out := matrix.New(k, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i <= j && i < k; i++ {
-			out.Set(i, j, r.A.At(i, j))
-		}
-	}
-	return out
-}
+func (r *QRResult) R() *matrix.Dense { return lapack.ExtractR(r.A) }
 
 // ApplyQT overwrites c (A.Rows x p) with Q^T * c.
 func (r *QRResult) ApplyQT(c *matrix.Dense) {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -77,7 +78,7 @@ func solveCheck(t *testing.T, a *matrix.Dense, opt core.Options, pool *sched.Poo
 	if err != nil {
 		t.Fatalf("CALU: %v", err)
 	}
-	res.Solve(rhs)
+	lapack.LUSolve(res.A, res.Ipiv, rhs)
 	for i := 0; i < n; i++ {
 		if d := math.Abs(rhs.At(i, 0) - 1); d > 1e-6 {
 			t.Fatalf("solution off at %d by %g", i, d)

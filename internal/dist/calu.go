@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
@@ -25,10 +24,10 @@ const (
 //
 // The matrix is shared storage for the simulation, but every rank touches
 // only its own rows; all cross-rank data moves through counted messages.
-// The returned swap lists (one per panel, global row indices) define P in
+// The returned LAPACK ipiv (length n, global row indices) defines P in
 // P*A = L*U; unlike the multicore Algorithm 1, swaps are applied to full
 // rows immediately, so no deferred left-swap pass is needed.
-func CALU(w *World, a *matrix.Dense, b int) [][]int {
+func CALU(w *World, a *matrix.Dense, b int) []int {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("dist: CALU needs m >= n, got %dx%d", m, n))
@@ -39,8 +38,7 @@ func CALU(w *World, a *matrix.Dense, b int) [][]int {
 	p := w.Size()
 	blocks := alignedBlocks(m, b, p)
 	nPanels := (n + b - 1) / b
-	allSwaps := make([][]int, nPanels)
-	var mu sync.Mutex
+	ipiv := make([]int, n)
 
 	w.Run(func(c *Comm) {
 		rank := c.Rank()
@@ -57,9 +55,7 @@ func CALU(w *World, a *matrix.Dense, b int) [][]int {
 			winners, composite := c.tournament(a, blocks, participants, r0, wk)
 			sw := tslu.BuildSwaps(winners, r0)
 			if rank == 0 {
-				mu.Lock()
-				allSwaps[k] = sw
-				mu.Unlock()
+				copy(ipiv[r0:], sw)
 			}
 
 			// --- Apply the winner swaps to full rows, exchanging across
@@ -121,7 +117,7 @@ func CALU(w *World, a *matrix.Dense, b int) [][]int {
 			}
 		}
 	})
-	return allSwaps
+	return ipiv
 }
 
 // tournament runs the candidate reduction for one panel and returns the

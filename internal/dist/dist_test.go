@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/blas"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/tslu"
@@ -250,14 +249,12 @@ func distCALUResidual(t *testing.T, m, n, b, p int, seed int64) float64 {
 	orig := matrix.Random(m, n, seed)
 	a := orig.Clone()
 	w := NewWorld(p)
-	swaps := CALU(w, a, b)
+	ipiv := CALU(w, a, b)
 
 	l, u := lapack.ExtractLU(a)
 	prod := mulDense(l, u)
 	pa := orig.Clone()
-	for k, sw := range swaps {
-		tslu.ApplyPivots(pa, sw, k*b)
-	}
+	lapack.LASWP(pa, ipiv, 0, len(ipiv))
 	diff := 0.0
 	for j := 0; j < n; j++ {
 		x, y := pa.Col(j), prod.Col(j)
@@ -310,12 +307,8 @@ func TestDistCALUSolvesSystem(t *testing.T) {
 
 	a := orig.Clone()
 	w := NewWorld(p)
-	swaps := CALU(w, a, b)
-	for k, sw := range swaps {
-		tslu.ApplyPivots(rhs, sw, k*b)
-	}
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, a, rhs)
-	blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, a, rhs)
+	ipiv := CALU(w, a, b)
+	lapack.LUSolve(a, ipiv, rhs)
 	if !rhs.EqualApprox(xWant, 1e-8) {
 		t.Fatal("distributed CALU solve wrong")
 	}

@@ -1,6 +1,7 @@
 package lapack
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/blas"
@@ -111,4 +112,33 @@ func BenchmarkLarfbNode(b *testing.B) {
 	t := matrix.New(leafCols, leafCols)
 	GEQR3(v, make([]float64, leafCols), t)
 	benchLarfb(b, v, t, leafCols)
+}
+
+// BenchmarkLASWP times the interchange loop at the two shapes square LU
+// 1024² (b = 100) runs it on: a U task applies a panel's 100 ipiv entries,
+// here those of the panel at row 500, to a 1024 x 100 block column, and
+// Finish applies the same kind of segment to the 1024 x 900 block left of
+// the last panel. The entries are random rows at or below their own, like
+// a tournament's. The rate counts the 16 bytes each swap exchanges per
+// column.
+func BenchmarkLASWP(b *testing.B) {
+	const m, r0, k = 1024, 500, 100
+	rng := rand.New(rand.NewSource(13))
+	ipiv := make([]int, r0+k)
+	for i := r0; i < r0+k; i++ {
+		ipiv[i] = i + rng.Intn(m-i)
+	}
+	for _, tc := range []struct {
+		name string
+		cols int
+	}{{"U-task-1024x100", 100}, {"Finish-1024x900", 900}} {
+		b.Run(tc.name, func(b *testing.B) {
+			a := matrix.Random(m, tc.cols, 14)
+			b.SetBytes(int64(16 * k * tc.cols))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				LASWP(a, ipiv, r0, r0+k)
+			}
+		})
+	}
 }

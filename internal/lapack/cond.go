@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 )
 
@@ -83,39 +84,9 @@ func LUSolveTranspose(lu *matrix.Dense, ipiv []int, b *matrix.Dense) {
 	if b.Rows != lu.Rows {
 		panic(fmt.Errorf("%w: LUSolveTranspose rhs rows mismatch", ErrShape))
 	}
-	// U^T is lower triangular: forward substitution with Trans.
-	trsmT(lu, b, true)
-	trsmT(lu, b, false)
+	blas.Trsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, lu, b)
+	blas.Trsm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, lu, b)
 	LASWPBackward(b, ipiv, 0, len(ipiv))
-}
-
-// trsmT applies (U^T)^{-1} (upper=true) or (L^T)^{-1} (upper=false) using
-// the packed LU factor.
-func trsmT(lu *matrix.Dense, b *matrix.Dense, upper bool) {
-	n := lu.Rows
-	for col := 0; col < b.Cols; col++ {
-		x := b.Col(col)
-		if upper {
-			// Solve U^T y = x: U^T is lower triangular with U's diagonal.
-			for i := 0; i < n; i++ {
-				sum := x[i]
-				for k := 0; k < i; k++ {
-					sum -= lu.At(k, i) * x[k]
-				}
-				x[i] = sum / lu.At(i, i)
-			}
-		} else {
-			// Solve L^T y = x: L^T is unit upper triangular with entries
-			// L^T(i, k) = L(k, i) for k > i.
-			for i := n - 1; i >= 0; i-- {
-				sum := x[i]
-				for k := i + 1; k < n; k++ {
-					sum -= lu.At(k, i) * x[k]
-				}
-				x[i] = sum
-			}
-		}
-	}
 }
 
 // GECON estimates the reciprocal 1-norm condition number of a square matrix
@@ -124,6 +95,9 @@ func trsmT(lu *matrix.Dense, b *matrix.Dense, upper bool) {
 // singular or numerically singular factor.
 func GECON(lu *matrix.Dense, ipiv []int, anorm float64) float64 {
 	n := lu.Rows
+	if n != lu.Cols {
+		panic(fmt.Errorf("%w: GECON needs square factor, got %dx%d", ErrShape, n, lu.Cols))
+	}
 	for i := 0; i < n; i++ {
 		if lu.At(i, i) == 0 {
 			return 0

@@ -1,20 +1,19 @@
-package tslu
+package lapack
 
 import (
 	"errors"
 	"math/rand"
 	"testing"
 
-	"repro/internal/lapack"
 	"repro/internal/matrix"
 )
 
 // TestInterchangesMatchSwapRowsReplay checks the column-ordered interchange
-// loop behind ApplyPivots/UndoPivots and lapack.LASWP/LASWPBackward
-// against a replay of matrix.SwapRows, one row swap at a time. Swap lists
-// are random with repeated targets and self-swaps, start at r0 > 0, and
-// act on views whose stride exceeds their row count; the whole backing
-// slice, padding included, must come out bit-identical.
+// loop behind LASWP and LASWPBackward against a replay of
+// matrix.SwapRows, one row swap at a time. Swap lists are random with
+// repeated targets and self-swaps, start at r0 > 0, and act on views whose
+// stride exceeds their row count; the whole backing slice, padding
+// included, must come out bit-identical.
 func TestInterchangesMatchSwapRowsReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -59,10 +58,10 @@ func TestInterchangesMatchSwapRowsReplay(t *testing.T) {
 			apply func(*matrix.Dense)
 			want  *matrix.Dense
 		}{
-			{"ApplyPivots", func(v *matrix.Dense) { ApplyPivots(v, sw, r0) }, forward},
-			{"UndoPivots", func(v *matrix.Dense) { UndoPivots(v, sw, r0) }, backward},
-			{"LASWP", func(v *matrix.Dense) { lapack.LASWP(v, ipiv, r0, len(ipiv)) }, forward},
-			{"LASWPBackward", func(v *matrix.Dense) { lapack.LASWPBackward(v, ipiv, r0, len(ipiv)) }, backward},
+			{"Interchange", func(v *matrix.Dense) { Interchange(v, sw, r0, false) }, forward},
+			{"Interchange undo", func(v *matrix.Dense) { Interchange(v, sw, r0, true) }, backward},
+			{"LASWP", func(v *matrix.Dense) { LASWP(v, ipiv, r0, len(ipiv)) }, forward},
+			{"LASWPBackward", func(v *matrix.Dense) { LASWPBackward(v, ipiv, r0, len(ipiv)) }, backward},
 		} {
 			got := orig.Clone()
 			tc.apply(view(got))
@@ -71,9 +70,9 @@ func TestInterchangesMatchSwapRowsReplay(t *testing.T) {
 			}
 		}
 		undone := forward.Clone()
-		UndoPivots(view(undone), sw, r0)
+		LASWPBackward(view(undone), ipiv, r0, len(ipiv))
 		if !undone.Equal(orig) {
-			t.Fatalf("trial %d: UndoPivots does not revert ApplyPivots", trial)
+			t.Fatalf("trial %d: LASWPBackward does not revert LASWP", trial)
 		}
 	}
 }
@@ -85,16 +84,16 @@ func TestInterchangeOutOfRangePanics(t *testing.T) {
 		name  string
 		apply func(*matrix.Dense)
 	}{
-		{"ApplyPivots", func(a *matrix.Dense) { ApplyPivots(a, []int{1, 6}, 1) }},
-		{"UndoPivots", func(a *matrix.Dense) { UndoPivots(a, []int{-1}, 0) }},
-		{"LASWP", func(a *matrix.Dense) { lapack.LASWP(a, []int{0, 9}, 0, 2) }},
-		{"LASWPBackward", func(a *matrix.Dense) { lapack.LASWPBackward(a, []int{0, 3, 6}, 1, 3) }},
+		{"Interchange", func(a *matrix.Dense) { Interchange(a, []int{1, 6}, 1, false) }},
+		{"Interchange undo", func(a *matrix.Dense) { Interchange(a, []int{-1}, 0, true) }},
+		{"LASWP", func(a *matrix.Dense) { LASWP(a, []int{0, 9}, 0, 2) }},
+		{"LASWPBackward", func(a *matrix.Dense) { LASWPBackward(a, []int{0, 3, 6}, 1, 3) }},
 	} {
 		func() {
 			defer func() {
 				err, _ := recover().(error)
-				if !errors.Is(err, lapack.ErrShape) {
-					t.Fatalf("%s: recovered %v, want a panic wrapping lapack.ErrShape", tc.name, err)
+				if !errors.Is(err, ErrShape) {
+					t.Fatalf("%s: recovered %v, want a panic wrapping ErrShape", tc.name, err)
 				}
 			}()
 			tc.apply(matrix.Random(8, 3, 1).View(1, 0, 6, 3))

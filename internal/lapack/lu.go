@@ -196,9 +196,9 @@ func LASWPBackward(a *matrix.Dense, ipiv []int, k1, k2 int) {
 
 // Interchange applies a sequential list of row interchanges to a: for j in
 // order, rows r0+j and piv[j] trade places (in reverse order when undo is
-// set, which reverts the forward pass). It is the one loop behind LASWP,
-// LASWPBackward and tslu.ApplyPivots/UndoPivots. Swaps on different
-// columns are independent, so it walks each contiguous column once and
+// set, which reverts the forward pass). It is the one loop behind LASWP and
+// LASWPBackward, and so behind every LU pivot application. Swaps on
+// different columns are independent, so it walks each contiguous column once and
 // applies the whole list there instead of one strided pass over every
 // column per swap; the result is the same. Out-of-range rows panic before
 // a is touched.

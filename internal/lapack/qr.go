@@ -283,16 +283,14 @@ func ORGQR(a *matrix.Dense, tau []float64, k int) *matrix.Dense {
 	return q
 }
 
-// ExtractR returns the upper-triangular factor R (k x n, k = min(m, n))
-// from an in-place QR factorization.
+// ExtractR returns a copy of the upper-triangular (m >= n) or
+// upper-trapezoidal (m < n) factor R, k x n with k = min(m, n), of an
+// in-place QR factorization; zeros below the diagonal.
 func ExtractR(a *matrix.Dense) *matrix.Dense {
-	m, n := a.Rows, a.Cols
-	k := min(m, n)
-	r := matrix.New(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, a.At(i, j))
-		}
+	k := min(a.Rows, a.Cols)
+	r := matrix.New(k, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		copy(r.Col(j), a.Col(j)[:min(j+1, k)])
 	}
 	return r
 }

@@ -49,19 +49,19 @@ func MeasureCALU(a *matrix.Dense, opt core.Options) (LUReport, error) {
 		return LUReport{}, err
 	}
 	pa := a.Clone()
-	res.ApplyPerm(pa)
+	lapack.LASWP(pa, res.Ipiv, 0, len(res.Ipiv))
 	return LUMetrics(lu, pa, a), nil
 }
 
 // MeasureTSLU factors a copy of the panel with standalone TSLU.
 func MeasureTSLU(a *matrix.Dense, tr int, tree tslu.Tree) (LUReport, error) {
 	lu := a.Clone()
-	sw, err := tslu.Factor(lu, tr, tree)
+	ipiv, err := tslu.Factor(lu, tr, tree)
 	if err != nil {
 		return LUReport{}, err
 	}
 	pa := a.Clone()
-	tslu.ApplyPivots(pa, sw, 0)
+	lapack.LASWP(pa, ipiv, 0, len(ipiv))
 	return LUMetrics(lu, pa, a), nil
 }
 

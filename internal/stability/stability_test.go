@@ -78,7 +78,7 @@ func TestSolveErrorCALUAndTiled(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		res.Solve(rhs)
+		lapack.LUSolve(res.A, res.Ipiv, rhs)
 		return nil
 	})
 	tiledErr := SolveError(a, 10, func(rhs *matrix.Dense) error {

@@ -185,16 +185,7 @@ func buildQRGraph(gr grid, res *QR) *sched.Graph {
 }
 
 // R returns a copy of the n x n upper-triangular factor.
-func (qr *QR) R() *matrix.Dense {
-	n := qr.A.Cols
-	r := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i <= j; i++ {
-			r.Set(i, j, qr.A.At(i, j))
-		}
-	}
-	return r
-}
+func (qr *QR) R() *matrix.Dense { return lapack.ExtractR(qr.A) }
 
 // ApplyQT overwrites c (A.Rows x p) with Q^T c, replaying the elimination
 // operations in factorization order.

@@ -3,12 +3,13 @@ package tslu
 import (
 	"testing"
 
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 )
 
 // FuzzBuildSwaps checks that for any list of distinct winner rows, the
-// generated swap sequence is a valid permutation that places the winners at
-// the target positions, and that UndoPivots inverts it.
+// generated ipiv segment is a valid permutation that places the winners at
+// the target positions, and that applying it in reverse inverts it.
 func FuzzBuildSwaps(f *testing.F) {
 	f.Add(uint16(0x1234), uint8(3), uint8(2))
 	f.Add(uint16(0xffff), uint8(8), uint8(0))
@@ -39,7 +40,7 @@ func FuzzBuildSwaps(f *testing.F) {
 		if len(sw) != count {
 			t.Fatalf("swap list length %d want %d", len(sw), count)
 		}
-		ApplyPivots(lab, sw, r0)
+		lapack.Interchange(lab, sw, r0, false)
 		for j, w := range winners {
 			if int(lab.At(r0+j, 0)) != w {
 				t.Fatalf("winner %d not at position %d: %v (winners %v, sw %v)",
@@ -54,9 +55,9 @@ func FuzzBuildSwaps(f *testing.F) {
 		if len(seen) != rows {
 			t.Fatalf("rows lost: %v", lab)
 		}
-		UndoPivots(lab, sw, r0)
+		lapack.Interchange(lab, sw, r0, true)
 		if !lab.Equal(orig) {
-			t.Fatal("UndoPivots did not invert")
+			t.Fatal("the reverse interchanges did not invert")
 		}
 	})
 }

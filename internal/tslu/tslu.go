@@ -12,9 +12,10 @@
 // fell out of the final tournament round.
 //
 // The package exposes both a sequential driver (Factor) and the individual
-// reduction steps (Leaf, Merge, MergeMany, BuildSwaps, ApplyPivots) so the
-// multithreaded CALU in package core can schedule each tournament node as an
-// independent task, exactly as the paper's Algorithm 1 does.
+// reduction steps (Leaf, Merge, MergeMany, BuildSwaps) so the multithreaded
+// CALU in package core can schedule each tournament node as an independent
+// task, exactly as the paper's Algorithm 1 does. Pivots leave the package
+// in LAPACK's ipiv form, which lapack.LASWP applies.
 package tslu
 
 import (
@@ -296,10 +297,10 @@ func Reduce(leaves []*Candidates, tree Tree) *Candidates {
 	return nodes[len(nodes)-1]
 }
 
-// BuildSwaps converts the tournament winners' row indices (relative to the
-// same origin as ApplyPivots will use) into a LAPACK-style sequential swap
-// list: applying SwapRows(r0+j, sw[j]) for j = 0.. moves winner j into
-// position r0+j. The winners must be distinct.
+// BuildSwaps converts the tournament winners' row indices into the LAPACK
+// ipiv segment that starts at row r0: swapping rows r0+j and sw[j] for j =
+// 0, 1, ... in order (lapack.LASWP with sw as ipiv[r0:]) moves winner j
+// into row r0+j. The winners must be distinct.
 func BuildSwaps(winners []int, r0 int) []int {
 	sw := make([]int, len(winners))
 	// loc tracks where each displaced original row currently lives; rows
@@ -331,28 +332,16 @@ func BuildSwaps(winners []int, r0 int) []int {
 	return sw
 }
 
-// ApplyPivots applies the swap list from BuildSwaps to a: for j in order,
-// rows r0+j and sw[j] are exchanged. Row indices in sw are relative to a's
-// row 0.
-func ApplyPivots(a *matrix.Dense, sw []int, r0 int) {
-	lapack.Interchange(a, sw, r0, false)
-}
-
-// UndoPivots reverses ApplyPivots with the same arguments.
-func UndoPivots(a *matrix.Dense, sw []int, r0 int) {
-	lapack.Interchange(a, sw, r0, true)
-}
-
 // Finalize completes the panel factorization after the tournament: it
-// applies the winners' swaps to the panel, writes the root's composite L\U
-// into the leading rows, and computes the remaining rows of L by triangular
-// solve against U. It returns the swap list (panel-local) and ErrSingular if
-// the composite has a zero pivot.
+// applies the winners' interchanges to the panel, writes the root's
+// composite L\U into the leading rows, and computes the remaining rows of L
+// by triangular solve against U. It returns the panel's ipiv and
+// ErrSingular if the composite has a zero pivot.
 func Finalize(panel *matrix.Dense, root *Candidates) ([]int, error) {
 	m, w := panel.Rows, panel.Cols
 	k := root.Fac.Rows
-	sw := BuildSwaps(root.Idx, 0)
-	ApplyPivots(panel, sw, 0)
+	ipiv := BuildSwaps(root.Idx, 0)
+	lapack.LASWP(panel, ipiv, 0, len(ipiv))
 	// Leading k rows become the composite L\U from the tournament root.
 	panel.View(0, 0, k, w).CopyFrom(root.Fac)
 	var err error
@@ -371,14 +360,14 @@ func Finalize(panel *matrix.Dense, root *Candidates) ([]int, error) {
 		rest := panel.View(k, 0, m-k, w)
 		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, ukk, rest)
 	}
-	return sw, err
+	return ipiv, err
 }
 
 // Factor performs the complete sequential TSLU factorization of a panel
 // (m x w, m >= w): tournament pivoting over tr block rows with the given
 // reduction tree, followed by the pivoted panel factorization. On return
 // the panel holds L (unit lower, below the diagonal) and U (on and above),
-// and the returned swap list reproduces the row permutation via ApplyPivots.
+// and lapack.LASWP with the returned ipiv reproduces the row permutation.
 //
 // With tr == 1 TSLU degenerates to plain GEPP on the panel, selecting the
 // same pivots as partial pivoting — a property the tests rely on.

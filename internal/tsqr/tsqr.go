@@ -166,7 +166,7 @@ func MergeCarriersStructured(panel *matrix.Dense, in []Carrier) Node {
 	t := matrix.New(w, w)
 	// TTQRT touches only the upper triangles of both carriers, leaving the
 	// leaf reflectors stored strictly below them intact.
-	triR2 := extractUpper(r2)
+	triR2 := lapack.ExtractR(r2)
 	lapack.TTQRT(r1, triR2, t)
 	// Write V2 (upper triangular) back over R2's triangle.
 	for j := 0; j < w; j++ {
@@ -178,20 +178,6 @@ func MergeCarriersStructured(panel *matrix.Dense, in []Carrier) Node {
 	}
 	out := Carrier{Row: in[0].Row, K: w}
 	return Node{In: append([]Carrier(nil), in...), Out: out, V: triR2, T: t, Tri: true}
-}
-
-// extractUpper copies the upper triangle of a square view (zeros below).
-func extractUpper(a *matrix.Dense) *matrix.Dense {
-	n := a.Cols
-	out := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		src := a.Col(j)
-		dst := out.Col(j)
-		for i := 0; i <= j; i++ {
-			dst[i] = src[i]
-		}
-	}
-	return out
 }
 
 // Plan computes the static shape of a TSQR reduction for an m x w panel
@@ -273,16 +259,7 @@ func FactorTree(panel *matrix.Dense, tr int, tree Tree, structured bool) *Factor
 }
 
 // R returns a copy of the w x w upper-triangular factor.
-func (f *Factorization) R() *matrix.Dense {
-	w := f.Width
-	r := matrix.New(w, w)
-	for j := 0; j < w; j++ {
-		for i := 0; i <= j; i++ {
-			r.Set(i, j, f.Panel.At(i, j))
-		}
-	}
-	return r
-}
+func (f *Factorization) R() *matrix.Dense { return lapack.ExtractR(f.Panel) }
 
 // ApplyLeafQT applies leaf i's Q^T to the matching block rows of c, which
 // must have the same row count as the panel. This is CAQR's task S at the
