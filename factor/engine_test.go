@@ -138,20 +138,25 @@ func TestQRShapeError(t *testing.T) {
 
 // TestQROverflowNotRetried factors a finite input whose column norms
 // overflow (±MaxFloat64 entries) through an engine that retries transient
-// failures: QR fails with ErrNonFinite naming a non-finite R(j,j), and the
-// engine treats it as permanent, so no retry is spent on it.
+// failures, without and with checksum verification, where a V task's
+// checksum comparison sees the overflow first: QR fails with ErrNonFinite
+// naming a non-finite R(j,j), and the engine treats it as permanent, so no
+// retry is spent on it and no corruption is counted.
 func TestQROverflowNotRetried(t *testing.T) {
-	a := factor.Random(20, 20, 5)
-	a.Set(3, 2, math.MaxFloat64)
-	a.Set(7, 9, -math.MaxFloat64)
-	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2, MaxRetries: 3, RetryBackoff: time.Millisecond})
-	defer eng.Close()
-	_, err := eng.QR(a, factor.Options{BlockSize: 5})
-	if !errors.Is(err, factor.ErrNonFinite) || !strings.Contains(err.Error(), "R(") {
-		t.Fatalf("engine QR = %v, want ErrNonFinite naming R(j,j)", err)
-	}
-	if r := eng.Stats().Retries; r != 0 {
-		t.Fatalf("Stats().Retries = %d, want 0: overflow is permanent", r)
+	for _, verify := range []bool{false, true} {
+		a := factor.Random(20, 20, 5)
+		a.Set(3, 2, math.MaxFloat64)
+		a.Set(7, 9, -math.MaxFloat64)
+		eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2, MaxRetries: 3, RetryBackoff: time.Millisecond, VerifyChecksums: verify})
+		_, err := eng.QR(a, factor.Options{BlockSize: 5})
+		s := eng.Stats()
+		eng.Close()
+		if !errors.Is(err, factor.ErrNonFinite) || errors.Is(err, factor.ErrCorrupted) || !strings.Contains(err.Error(), "R(") {
+			t.Fatalf("verify %v: engine QR = %v, want ErrNonFinite naming R(j,j)", verify, err)
+		}
+		if s.Retries != 0 || s.VerifyFailRetries != 0 || s.CorruptionsDetected != 0 {
+			t.Fatalf("verify %v: Stats() retries %d, verify-fail retries %d, corruptions %d; want 0, 0, 0: overflow is permanent", verify, s.Retries, s.VerifyFailRetries, s.CorruptionsDetected)
+		}
 	}
 }
 

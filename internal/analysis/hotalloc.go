@@ -54,6 +54,9 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/blas", "Dtrsm"},
 	{"internal/blas", "Dtrmm"},
 	{"internal/sched", "runTask"},
+	// The row-interchange loop runs in every CALU U, finalize and
+	// left-swap task and in every RGETF2 step.
+	{"internal/lapack", "LASWP"},
 	// ABFT checksum verification runs once per panel inside the task graph
 	// (V and finalize tasks); an allocation here taxes every verified
 	// factorization and shows up in the cabench verify-overhead gate.

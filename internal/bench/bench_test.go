@@ -269,10 +269,11 @@ func TestCommShape(t *testing.T) {
 			t.Errorf("%s: CALU tasks %g not above vendor %g", r.Label, r.Values["CALU-tasks"], r.Values["vendor-tasks"])
 		}
 	}
-	// The 1e5x1000 graph sizes quoted in EXPERIMENTS.md.
+	// The 1e5x1000 graph sizes quoted in EXPERIMENTS.md. CALU's include its
+	// nine left-swap tasks, one edge each.
 	const row = "tall 1e5x1000"
 	for c, want := range map[string]float64{
-		"CALU-tasks": 645, "CALU-edges": 1787, "vendor-tasks": 129, "vendor-edges": 863,
+		"CALU-tasks": 654, "CALU-edges": 1796, "vendor-tasks": 129, "vendor-edges": 863,
 	} {
 		if got := get(t, tb, row, c); got != want {
 			t.Errorf("%s %s = %g want %g", row, c, got, want)

@@ -10,9 +10,10 @@ package core
 //     under its own trace option, or several merged into a single
 //     submission — aggregating small operations into fewer, larger ones,
 //     the communication-avoiding idea applied at the request level;
-//   - Finish does the post-execution bookkeeping: deferred pivot
-//     application, per-panel error reporting and, for a wide matrix, the
-//     update of the columns right of its leading square block.
+//   - Finish does the post-execution bookkeeping: per-panel error
+//     reporting and, for a wide matrix, the update of the columns right of
+//     its leading square block. Every pivot application, the deferred left
+//     swaps included, runs inside the graph.
 //
 // A prepared request is single-use: its graph is consumed by the Run that
 // executes it.
@@ -157,11 +158,12 @@ func (p *PreparedLU) attach(events []sched.Event, g *sched.Graph) {
 	p.res.Events, p.res.Graph = events, g
 }
 
-// Finish completes the request after Run: runErr is Run's error. On success
-// it applies the deferred row interchanges to the L blocks left of each
-// panel (Algorithm 1 line 41), reports the first singular panel and, for a
-// wide matrix, overwrites the columns right of the leading square block
-// with U(:, m:) = L^{-1} P A(:, m:). It returns a nil result with any
+// Finish completes the request after Run: runErr is Run's error. Every row
+// interchange has been applied by then, the ones left of each panel
+// (Algorithm 1 line 41) by the graph's left-swap tasks. On success Finish
+// reports the first singular panel, fills in the result and, for a wide
+// matrix, overwrites the columns right of the leading square block with
+// U(:, m:) = L^{-1} P A(:, m:). It returns a nil result with any
 // error; on a non-nil runErr it returns at once without reading the
 // request's state, so it is safe to call while an abandoned submission is
 // still running. The Events and Graph fields are set only for a request
@@ -171,10 +173,6 @@ func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
 		return nil, fmt.Errorf("core: CALU execution failed: %w", runErr)
 	}
 	b, res := p.b, p.res
-	bs := b.opt.BlockSize
-	for k := 1; k < b.nb; k++ {
-		lapack.LASWP(b.a.View(0, 0, b.m, k*bs), b.ipiv, k*bs, min(b.n, (k+1)*bs))
-	}
 	for k, err := range b.errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: CALU panel %d: %w", k, err)
@@ -243,13 +241,22 @@ func (p *PreparedQR) Finish(runErr error) (*QRResult, error) {
 		return nil, fmt.Errorf("core: CAQR execution failed: %w", runErr)
 	}
 	a := p.res.A
-	for j := 0; j < min(a.Rows, a.Cols); j++ {
-		if r := a.At(j, j); !(math.Abs(r) <= math.MaxFloat64) {
-			return nil, fmt.Errorf("%w: R(%d,%d) = %v, the factorization overflowed", ErrNonFinite, j, j, r)
-		}
+	if err := overflowed(a, 0, min(a.Rows, a.Cols)); err != nil {
+		return nil, err
 	}
 	if right := wideRight(a); right != nil {
 		applyPanelsQT(p.res, right)
 	}
 	return p.res, nil
+}
+
+// overflowed returns an error wrapping ErrNonFinite that names the first
+// non-finite diagonal entry R(j,j), j in [j0, j1), of a QR factor, or nil.
+func overflowed(a *matrix.Dense, j0, j1 int) error {
+	for j := j0; j < j1; j++ {
+		if r := a.At(j, j); !(math.Abs(r) <= math.MaxFloat64) {
+			return fmt.Errorf("%w: R(%d,%d) = %v, the factorization overflowed", ErrNonFinite, j, j, r)
+		}
+	}
+	return nil
 }

@@ -121,12 +121,40 @@ func newCALUBuilder(m, n int, opt *Options) *caluBuilder {
 }
 
 func (b *caluBuilder) build() {
+	vs := make([]*sched.Task, b.nb) // each panel's V task, nil unless verifying
+	var fin *sched.Task
 	for k := 0; k < b.nb; k++ {
-		b.buildIteration(k)
+		fin, vs[k] = b.buildIteration(k)
+	}
+
+	// --- Left swaps (Algorithm 1 lines 40-41): one task per finished block
+	// column applies every later panel's interchanges, ipiv[c1 : n), in one
+	// pass once the last finalize (fin) has written the last segment. They
+	// move rows >= c1 of the column's L. The frontier records writers, not
+	// readers, so that write-after-read order is wired here: the column's
+	// L and S tasks all precede fin (each S task feeds a later panel, and
+	// finalize tasks are transitively ordered), and in verify mode its V
+	// task gates nothing else.
+	for j := 0; j < b.nb-1; j++ {
+		c0, c1 := b.colRange(j)
+		t := &sched.Task{
+			Label:    fmt.Sprintf("U left j=%d", j),
+			Kind:     sched.KindU,
+			Priority: priority(b.opt, b.nb, b.nb-1, j, bonusU),
+			Flops:    float64((b.n - c1) * (c1 - c0)), // swap bookkeeping
+			Class:    sched.ClassSmall,
+		}
+		if b.a != nil {
+			t.Run = func() { lapack.LASWP(b.a.View(0, c0, b.m, c1-c0), b.ipiv, c1, b.n) }
+		}
+		b.g.Add(t)
+		b.g.AddDeps(t, fin, vs[j])
 	}
 }
 
-func (b *caluBuilder) buildIteration(k int) {
+// buildIteration adds iteration k's tasks and returns its finalize task and,
+// in verify mode, its V task.
+func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 	opt := b.opt
 	c0, c1 := b.colRange(k)
 	r0 := c0
@@ -233,7 +261,7 @@ func (b *caluBuilder) buildIteration(k int) {
 
 	// --- Finalize: write the panel's ipiv segment, pivot the panel, write
 	// the composite. ---
-	fin := &sched.Task{
+	fin = &sched.Task{
 		Label:    fmt.Sprintf("F k=%d", k),
 		Kind:     sched.KindP,
 		Priority: priority(opt, b.nb, k, k, bonusFinalize),
@@ -391,9 +419,10 @@ func (b *caluBuilder) buildIteration(k int) {
 	// anchor below them) and rows [r0, m) hold the panel's L\U, so the
 	// column-sum identity over the original matrix is checkable. The V tasks
 	// chain (each reads the L sums its predecessors accumulated) and gate
-	// nothing but the next V, so verification rides the graph's slack.
+	// nothing but the next V and their column's left-swap task, so
+	// verification rides the graph's slack.
 	if b.verifyOn() {
-		v := &sched.Task{
+		v = &sched.Task{
 			Label:    fmt.Sprintf("V k=%d", k),
 			Kind:     sched.KindP,
 			Priority: priority(opt, b.nb, k, k, bonusV),
@@ -423,6 +452,7 @@ func (b *caluBuilder) buildIteration(k int) {
 		b.g.AddDeps(v, b.vprev)
 		b.vprev = v
 	}
+	return fin, v
 }
 
 // candRows exposes a tournament candidate's row buffer for fault injection

@@ -388,6 +388,17 @@ func (b *caqrBuilder) buildIteration(k int) {
 		t := v
 		t.Run = func() {
 			if bad := abft.VerifyQRColumns(b.a, b.u.Col(0), c0, c1, b.wsums, b.vtol()); bad != -1 {
+				// A finite input can overflow, and then it fails for good,
+				// as Finish would fail it. Orthogonal transforms keep R's
+				// entries within sqrt(m)*max|A|, and the reflector products'
+				// partial sums (|v_i| <= 1) within about m*max|A|. Below
+				// max|A| = MaxFloat64/m nothing overflows, so a non-finite
+				// R there is corruption, which a retry recovers.
+				if b.maxA > math.MaxFloat64/float64(b.m) {
+					if err := overflowed(b.a, c0, c1); err != nil {
+						panic(err)
+					}
+				}
 				if cb := b.opt.OnCorruption; cb != nil {
 					cb(k)
 				}

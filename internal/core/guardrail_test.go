@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blas"
@@ -104,6 +105,43 @@ func TestFiniteExtremesAccepted(t *testing.T) {
 	want := fmt.Sprintf("R(%d,%d) = %v, the factorization overflowed", j, j, qr.At(j, j))
 	if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("CAQR: err = %v, want ErrNonFinite naming %s", err, want)
+	}
+}
+
+// TestCAQRVerifyOverflowIsNonFinite is the regression test for a finite
+// input that overflows CAQR under verify mode. The V task's checksum
+// comparison sees the non-finite R first; it must fail the request with the
+// permanent ErrNonFinite, naming the entry Finish names without verify,
+// instead of reporting a corruption and failing with the retryable
+// ErrCorrupted. CALU factors the same input into the same finite factor
+// with verify on and off.
+func TestCAQRVerifyOverflowIsNonFinite(t *testing.T) {
+	a := matrix.Random(20, 20, 5)
+	a.Set(3, 2, math.MaxFloat64)
+	a.Set(7, 9, -math.MaxFloat64)
+	_, plain := CAQR(a.Clone(), Options{BlockSize: 5})
+	if !errors.Is(plain, ErrNonFinite) {
+		t.Fatalf("CAQR without verify: err = %v, want ErrNonFinite", plain)
+	}
+	var corruptions atomic.Int32
+	opt := Options{BlockSize: 5, Verify: true, OnCorruption: func(int) { corruptions.Add(1) }}
+	_, err := CAQR(a.Clone(), opt)
+	if !errors.Is(err, ErrNonFinite) || errors.Is(err, ErrCorrupted) || !strings.HasSuffix(err.Error(), plain.Error()) {
+		t.Fatalf("CAQR with verify: err = %v, want ErrNonFinite ending %q", err, plain)
+	}
+	if n := corruptions.Load(); n != 0 {
+		t.Fatalf("OnCorruption called %d times, want 0: overflow is not corruption", n)
+	}
+	lu, err := CALU(a.Clone(), Options{BlockSize: 5})
+	if err != nil {
+		t.Fatalf("CALU: %v", err)
+	}
+	luv, err := CALU(a.Clone(), Options{BlockSize: 5, Verify: true})
+	if err != nil {
+		t.Fatalf("CALU with verify: %v", err)
+	}
+	if !luv.A.Equal(lu.A) || !slices.Equal(luv.Ipiv, lu.Ipiv) {
+		t.Fatal("CALU with verify differs from CALU without")
 	}
 }
 

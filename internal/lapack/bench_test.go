@@ -114,30 +114,39 @@ func BenchmarkLarfbNode(b *testing.B) {
 	benchLarfb(b, v, t, leafCols)
 }
 
-// BenchmarkLASWP times the interchange loop at the two shapes square LU
-// 1024² (b = 100) runs it on: a U task applies a panel's 100 ipiv entries,
-// here those of the panel at row 500, to a 1024 x 100 block column, and
-// Finish applies the same kind of segment to the 1024 x 900 block left of
-// the last panel. The entries are random rows at or below their own, like
-// a tournament's. The rate counts the 16 bytes each swap exchanges per
-// column.
+// BenchmarkLASWP times the interchange loop at the shapes square LU 1024²
+// (b = 100) runs it on. A U task applies a panel's 100 ipiv entries, here
+// those of the panel at row 500, to a 1024 x 100 block column, and GECON
+// undoes such a segment with LASWPBackward. The left-swap task of block
+// column 0 applies every later panel's entries, ipiv[100:1024), to its
+// 1024 x 100 block. The wide row applies the U task's segment to a
+// 1024 x 900 block. The entries are random rows at or below their own,
+// like a tournament's. The rate counts the 16 bytes each swap exchanges
+// per column.
 func BenchmarkLASWP(b *testing.B) {
-	const m, r0, k = 1024, 500, 100
+	const m = 1024
 	rng := rand.New(rand.NewSource(13))
-	ipiv := make([]int, r0+k)
-	for i := r0; i < r0+k; i++ {
+	ipiv := make([]int, m)
+	for i := range ipiv {
 		ipiv[i] = i + rng.Intn(m-i)
 	}
 	for _, tc := range []struct {
-		name string
-		cols int
-	}{{"U-task-1024x100", 100}, {"Finish-1024x900", 900}} {
+		name        string
+		cols        int
+		k1, k2      int
+		interchange func(a *matrix.Dense, ipiv []int, k1, k2 int)
+	}{
+		{"U-task-1024x100", 100, 500, 600, LASWP},
+		{"U-task-backward-1024x100", 100, 500, 600, LASWPBackward},
+		{"left-swap-j0-1024x100", 100, 100, m, LASWP},
+		{"wide-1024x900", 900, 500, 600, LASWP},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			a := matrix.Random(m, tc.cols, 14)
-			b.SetBytes(int64(16 * k * tc.cols))
+			b.SetBytes(int64(16 * (tc.k2 - tc.k1) * tc.cols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				LASWP(a, ipiv, r0, r0+k)
+				tc.interchange(a, ipiv, tc.k1, tc.k2)
 			}
 		})
 	}

@@ -197,29 +197,44 @@ func LASWPBackward(a *matrix.Dense, ipiv []int, k1, k2 int) {
 // Interchange applies a sequential list of row interchanges to a: for j in
 // order, rows r0+j and piv[j] trade places (in reverse order when undo is
 // set, which reverts the forward pass). It is the one loop behind LASWP and
-// LASWPBackward, and so behind every LU pivot application. Swaps on
-// different columns are independent, so it walks each contiguous column once and
-// applies the whole list there instead of one strided pass over every
-// column per swap; the result is the same. Out-of-range rows panic before
-// a is touched.
+// LASWPBackward, and so behind every LU pivot application: the U,
+// finalize and left-swap tasks of CALU, each RGETF2 step and the
+// sequential references. Swaps on different columns are independent, so it
+// walks four adjacent columns at a time (the last 0-3 one at a time) and
+// applies the whole list there, each swap exchanging four pairs of
+// independent entries, instead of one strided pass over every column per
+// swap; the result is the same. Out-of-range rows panic before a is
+// touched.
 func Interchange(a *matrix.Dense, piv []int, r0 int, undo bool) {
 	for j, p := range piv {
 		if r := r0 + j; p != r && (r < 0 || r >= a.Rows || p < 0 || p >= a.Rows) {
 			panic(fmt.Errorf("%w: interchange rows (%d, %d) out of range %d", ErrShape, r, p, a.Rows))
 		}
 	}
-	for c := 0; c < a.Cols; c++ {
-		col := a.Data[c*a.Stride : c*a.Stride+a.Rows]
-		if undo {
-			for j := len(piv) - 1; j >= 0; j-- {
-				if r, p := r0+j, piv[j]; p != r {
-					col[r], col[p] = col[p], col[r]
-				}
+	first, end, step := 0, len(piv), 1
+	if undo {
+		first, end, step = len(piv)-1, -1, -1
+	}
+	m, s := a.Rows, a.Stride
+	c := 0
+	for ; c+4 <= a.Cols; c += 4 {
+		c0 := a.Data[c*s:][:m]
+		c1 := a.Data[(c+1)*s:][:m]
+		c2 := a.Data[(c+2)*s:][:m]
+		c3 := a.Data[(c+3)*s:][:m]
+		for j := first; j != end; j += step {
+			if r, p := r0+j, piv[j]; p != r {
+				c0[r], c0[p] = c0[p], c0[r]
+				c1[r], c1[p] = c1[p], c1[r]
+				c2[r], c2[p] = c2[p], c2[r]
+				c3[r], c3[p] = c3[p], c3[r]
 			}
-			continue
 		}
-		for j, p := range piv {
-			if r := r0 + j; p != r {
+	}
+	for ; c < a.Cols; c++ {
+		col := a.Data[c*s:][:m]
+		for j := first; j != end; j += step {
+			if r, p := r0+j, piv[j]; p != r {
 				col[r], col[p] = col[p], col[r]
 			}
 		}
