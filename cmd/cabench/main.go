@@ -21,7 +21,7 @@
 // -gemm runs the kernel-level performance trajectory instead: packed
 // Goto-style Dgemm against the frozen baseline across square and panel
 // shapes plus the engine-reuse end-to-end LU, each rate the median of 5
-// alternating packed/baseline windows of at least -sample, optionally
+// interleaved packed/baseline windows of at least -sample, optionally
 // writing the BENCH_gemm.json report and failing (exit 1) when the
 // square-512 speedup drops below -min-speedup. CI's benchmark-smoke job
 // runs exactly that gate; the checked-in BENCH_gemm.json is regenerated
@@ -54,11 +54,8 @@ func main() {
 		minSpeedup = flag.Float64("min-speedup", 0, "with -gemm: exit 1 if the square-512 packed/baseline speedup is below this")
 		sample     = flag.Duration("sample", 200*time.Millisecond, "with -gemm: minimum length of each of a case's 5 timing windows per side")
 
-		obsOverhead = flag.Float64("obs-overhead", 0, "measure scheduler-instrumentation overhead on engine-reuse; exit 1 if it exceeds this percent")
-		obsRounds   = flag.Int("obs-rounds", 3, "with -obs-overhead: alternating on/off measurement rounds")
-
+		obsOverhead    = flag.Float64("obs-overhead", 0, "measure scheduler-instrumentation overhead on engine-reuse; exit 1 if it exceeds this percent")
 		verifyOverhead = flag.Float64("verify-overhead", 0, "measure ABFT checksum-verification overhead on engine-reuse; exit 1 if it exceeds this percent")
-		verifyRounds   = flag.Int("verify-rounds", 3, "with -verify-overhead: alternating on/off measurement rounds")
 	)
 	flag.Parse()
 
@@ -83,15 +80,15 @@ func main() {
 	}
 	if *obsOverhead > 0 {
 		// Scheduler instrumentation is a process-wide default read by each
-		// new pool; always-on is restored after every pass.
-		runOverhead(cfg, "obs", *obsOverhead, *obsRounds, func(on bool, _ *factor.Options) func() {
+		// new pool; always-on is restored after every window.
+		runOverhead(cfg, "obs", *obsOverhead, func(on bool, _ *factor.Options) func() {
 			sched.SetInstrumentation(on)
 			return func() { sched.SetInstrumentation(true) }
 		})
 		return
 	}
 	if *verifyOverhead > 0 {
-		runOverhead(cfg, "verify", *verifyOverhead, *verifyRounds, func(on bool, opt *factor.Options) func() {
+		runOverhead(cfg, "verify", *verifyOverhead, func(on bool, opt *factor.Options) func() {
 			opt.Verify = on
 			return nil
 		})
@@ -164,15 +161,16 @@ func runGemm(cfg bench.Config, jsonPath string, minSpeedup float64, sample time.
 }
 
 // runOverhead runs one A/B overhead gate: engine-reuse with the toggled
-// feature on vs off, best round each, failing when the relative cost
-// exceeds maxPct.
-func runOverhead(cfg bench.Config, name string, maxPct float64, rounds int, toggle bench.Toggle) {
-	res := bench.ABOverhead(cfg, rounds, toggle)
-	fmt.Printf("%s overhead: on %.2f ms/op, off %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
-		name, res.OnMsPerOp, res.OffMsPerOp, res.OverheadPct, res.Rounds)
-	if res.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "%s overhead gate: %.2f%% > allowed %.2f%%\n", name, res.OverheadPct, maxPct)
+// feature on vs off, the median of each side's interleaved windows,
+// failing when the relative cost exceeds maxPct.
+func runOverhead(cfg bench.Config, name string, maxPct float64, toggle bench.Toggle) {
+	on, off := bench.ABOverhead(cfg, toggle)
+	pct := on.PctOver(off)
+	fmt.Printf("%s overhead: on %.2f ms/op (quartiles %.2f-%.2f), off %.2f ms/op (%.2f-%.2f), overhead %.2f%% (median of %d interleaved windows per side)\n",
+		name, on.Median, on.Q1, on.Q3, off.Median, off.Q1, off.Q3, pct, len(on.Windows))
+	if pct > maxPct {
+		fmt.Fprintf(os.Stderr, "%s overhead gate: %.2f%% > allowed %.2f%%\n", name, pct, maxPct)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "%s overhead gate ok: %.2f%% <= %.2f%%\n", name, res.OverheadPct, maxPct)
+	fmt.Fprintf(os.Stderr, "%s overhead gate ok: %.2f%% <= %.2f%%\n", name, pct, maxPct)
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/bench"
 	"repro/internal/blas"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
@@ -37,14 +38,48 @@ func main() {
 		return
 	}
 
-	fmt.Println("measuring kernel rates (a few seconds)...")
+	fmt.Printf("measuring kernel rates, median of %d windows each (a few seconds)...\n", calWindows)
 
-	blas3 := rateGemm(384)
-	recStream := rateRGETF2(200000, 64)
-	recCache := rateRGETF2(2000, 64)
-	blas2Stream := rateGETF2(200000, 64)
-	blas2Cache := rateGETF2(2000, 64)
-	overhead := schedOverhead()
+	const gn = 384
+	ga, gb, gc := matrix.Random(gn, gn, 1), matrix.Random(gn, gn, 2), matrix.New(gn, gn)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, ga, gb, 0, gc) // warm-up
+	blas3 := 2 * gn * gn * gn / seconds(nil, func() { blas.Gemm(blas.NoTrans, blas.NoTrans, 1, ga, gb, 0, gc) })
+	// lu is the rate of an unblocked panel LU of a fresh copy of an m x 64
+	// input: tall inputs stream from memory, short ones stay in cache.
+	lu := func(f func(*matrix.Dense, []int) error, m int, seed int64) float64 {
+		const n = 64
+		orig := matrix.Random(m, n, seed)
+		var a *matrix.Dense
+		var ipiv []int
+		return baseline.LUFlops(m, n) / seconds(func() { a, ipiv = orig.Clone(), make([]int, n) }, func() {
+			if err := f(a, ipiv); err != nil {
+				panic(err)
+			}
+		})
+	}
+	recStream := lu(lapack.RGETF2, 200000, 3)
+	recCache := lu(lapack.RGETF2, 2000, 3)
+	blas2Stream := lu(lapack.GETF2, 200000, 4)
+	blas2Cache := lu(lapack.GETF2, 2000, 4)
+	// The scheduler's overhead per task, on a graph of empty tasks.
+	const tasks = 20000
+	pool := sched.NewPool(runtime.NumCPU())
+	defer pool.Close()
+	var g *sched.Graph
+	overhead := seconds(func() {
+		g = sched.NewGraph()
+		for i := 0; i < tasks; i++ {
+			g.Add(&sched.Task{Run: func() {}})
+		}
+	}, func() {
+		sub, err := pool.Submit(g, sched.SubmitOptions{})
+		if err == nil {
+			_, err = sub.Wait()
+		}
+		if err != nil {
+			panic(err)
+		}
+	}) / tasks
 
 	fmt.Println()
 	fmt.Printf("dgemm (384^3):                 %8.2f GFlop/s\n", blas3/1e9)
@@ -93,50 +128,47 @@ func tuneBlocks(n int) {
 			panic(err)
 		}
 	}()
-	type setting struct {
-		mc, nc int
-		rates  []float64 // sorted after the last round
-	}
 	// The defaults come first. NC values are multiples of the 12-column
 	// register tile.
-	var grid []*setting
+	type setting struct{ mc, nc int }
+	var grid []setting
 	for _, nc := range distinctBlocks(n, nc0, 1020, 2040, 4092) {
 		for _, mc := range distinctBlocks(n, mc0, 64, 96, 128, 192, 256) {
-			grid = append(grid, &setting{mc: mc, nc: nc})
+			grid = append(grid, setting{mc, nc})
 		}
 	}
 	a, b, c := matrix.Random(n, n, 1), matrix.Random(n, n, 2), matrix.New(n, n)
 	flops := 2 * float64(n) * float64(n) * float64(n)
-	fmt.Printf("tuning packed Dgemm blocks at n=%d, KC=%d (kernel %s): median of %d interleaved rounds...\n",
-		n, kc, blas.KernelName(), tuneRounds)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c) // warm-up
-	for r := 0; r < tuneRounds; r++ {
-		for _, s := range grid {
+	sides := make([]func() float64, len(grid))
+	for i, s := range grid {
+		sides[i] = func() float64 {
 			if err := blas.SetBlockSizes(s.mc, kc, s.nc); err != nil {
 				panic(err)
 			}
 			start := time.Now()
 			blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
-			s.rates = append(s.rates, flops/time.Since(start).Seconds()/1e9)
+			return flops / time.Since(start).Seconds() / 1e9
 		}
 	}
-	med := func(s *setting) float64 { return s.rates[len(s.rates)/2] }
-	def, best := grid[0], grid[0]
-	for _, s := range grid {
-		slices.Sort(s.rates)
-		fmt.Printf("  MC=%-4d NC=%-5d %7.2f GFlop/s\n", s.mc, s.nc, med(s))
-		if med(s) > med(best) {
-			best = s
+	fmt.Printf("tuning packed Dgemm blocks at n=%d, KC=%d (kernel %s): median of %d interleaved rounds...\n",
+		n, kc, blas.KernelName(), tuneRounds)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c) // warm-up
+	rates := bench.Interleave(tuneRounds, sides...)
+	best := 0
+	for i, s := range grid {
+		fmt.Printf("  MC=%-4d NC=%-5d %7.2f GFlop/s\n", s.mc, s.nc, rates[i].Median)
+		if rates[i].Median > rates[best].Median {
+			best = i
 		}
 	}
-	q1, q3 := def.rates[tuneRounds/4], def.rates[tuneRounds-1-tuneRounds/4]
-	fmt.Printf("\ndefault: MC=%d NC=%d at %.2f GFlop/s (quartiles %.2f-%.2f)\n", def.mc, def.nc, med(def), q1, q3)
-	fmt.Printf("best:    MC=%d NC=%d at %.2f GFlop/s\n", best.mc, best.nc, med(best))
-	if med(best)-med(def) <= q3-q1 {
+	def := rates[0]
+	fmt.Printf("\ndefault: MC=%d NC=%d at %.2f GFlop/s (quartiles %.2f-%.2f)\n", grid[0].mc, grid[0].nc, def.Median, def.Q1, def.Q3)
+	fmt.Printf("best:    MC=%d NC=%d at %.2f GFlop/s\n", grid[best].mc, grid[best].nc, rates[best].Median)
+	if rates[best].Median-def.Median <= def.Q3-def.Q1 {
 		fmt.Println("the best is within the default's spread: keep the defaults")
 		return
 	}
-	fmt.Printf("apply with:\n\n\tblas.SetBlockSizes(%d, %d, %d)\n", best.mc, kc, best.nc)
+	fmt.Printf("apply with:\n\n\tblas.SetBlockSizes(%d, %d, %d)\n", grid[best].mc, kc, grid[best].nc)
 }
 
 // distinctBlocks returns def and the values of grid that run a blocking of
@@ -153,77 +185,19 @@ func distinctBlocks(n, def int, grid ...int) []int {
 	return vals
 }
 
-// rateGemm returns achieved flops/s of the blocked Dgemm at size n^3.
-func rateGemm(n int) float64 {
-	a := matrix.Random(n, n, 1)
-	b := matrix.Random(n, n, 2)
-	c := matrix.New(n, n)
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	// Warm up once, then time the best of three.
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
-		if r := flops / time.Since(start).Seconds(); r > best {
-			best = r
-		}
-	}
-	return best
-}
+// calWindows is how many windows each rate is the median of.
+const calWindows = 3
 
-func rateRGETF2(m, n int) float64 {
-	orig := matrix.Random(m, n, 3)
-	flops := baseline.LUFlops(m, n)
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		a := orig.Clone()
-		ipiv := make([]int, n)
+// seconds returns the median over calWindows windows, run through
+// bench.Interleave, of the seconds one call of run takes. setup, when not
+// nil, prepares each window's input outside the timed region.
+func seconds(setup, run func()) float64 {
+	return bench.Interleave(calWindows, func() float64 {
+		if setup != nil {
+			setup()
+		}
 		start := time.Now()
-		if err := lapack.RGETF2(a, ipiv); err != nil {
-			panic(err)
-		}
-		if r := flops / time.Since(start).Seconds(); r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-func rateGETF2(m, n int) float64 {
-	orig := matrix.Random(m, n, 4)
-	flops := baseline.LUFlops(m, n)
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		a := orig.Clone()
-		ipiv := make([]int, n)
-		start := time.Now()
-		if err := lapack.GETF2(a, ipiv); err != nil {
-			panic(err)
-		}
-		if r := flops / time.Since(start).Seconds(); r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-// schedOverhead times the dynamic scheduler on a graph of empty tasks.
-func schedOverhead() float64 {
-	const n = 20000
-	g := sched.NewGraph()
-	for i := 0; i < n; i++ {
-		g.Add(&sched.Task{Run: func() {}})
-	}
-	pool := sched.NewPool(runtime.NumCPU())
-	defer pool.Close()
-	start := time.Now()
-	sub, err := pool.Submit(g, sched.SubmitOptions{})
-	if err == nil {
-		_, err = sub.Wait()
-	}
-	if err != nil {
-		panic(err)
-	}
-	return time.Since(start).Seconds() / n
+		run()
+		return time.Since(start).Seconds()
+	})[0].Median
 }

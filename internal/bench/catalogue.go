@@ -191,9 +191,14 @@ type row struct {
 	on platform
 }
 
+// measuredWindows is how many windows per algorithm a measured cell is
+// the median of.
+const measuredWindows = 3
+
 // fill adds a column per alg and every alg's GFlop/s on each input:
-// simulated on the row's machine in modeled mode, timed on a fresh copy of
-// the row's seeded input in measured mode. Values land in the row with the
+// simulated on the row's machine in modeled mode; in measured mode the
+// median of measuredWindows runs, each on a fresh copy of the row's seeded
+// input, the row's algorithms interleaved. Values land in the row with the
 // input's label, appended if the table has none yet.
 func (t *Table) fill(cfg Config, rows []row, algs ...alg) {
 	for _, e := range algs {
@@ -210,8 +215,12 @@ func (t *Table) fill(cfg Config, rows []row, algs ...alg) {
 			continue
 		}
 		orig := matrix.Random(r.m, r.n, r.seed)
-		for _, e := range algs {
-			vals[e.col] = e.measured(orig, host)
+		sides := make([]func() float64, len(algs))
+		for i, e := range algs {
+			sides[i] = func() float64 { return e.measured(orig, host) }
+		}
+		for i, s := range Interleave(measuredWindows, sides...) {
+			vals[algs[i].col] = s.Median
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"time"
 
 	"repro/factor"
@@ -35,7 +34,7 @@ type GemmCase struct {
 	TransA string `json:"trans_a,omitempty"`
 	// PackedGFlops is the packed-kernel rate, BaselineGFlops the frozen
 	// reference kernel's rate, both measured in this run: each is the
-	// median of 5 windows, the two sides' windows alternating.
+	// median of 5 windows, the two sides' windows interleaved.
 	PackedGFlops   float64 `json:"packed_gflops"`
 	BaselineGFlops float64 `json:"baseline_gflops"`
 	// Speedup is PackedGFlops / BaselineGFlops.
@@ -68,11 +67,13 @@ type TriCase struct {
 // engine) timed against the current BLAS. The "before" side of the
 // trajectory lives in EXPERIMENTS.md, measured at the pre-refactor commit.
 type EngineReuseResult struct {
-	M          int     `json:"m"`
-	N          int     `json:"n"`
-	BlockSize  int     `json:"block_size"`
-	Iterations int     `json:"iterations"`
-	MsPerOp    float64 `json:"ms_per_op"`
+	M         int `json:"m"`
+	N         int `json:"n"`
+	BlockSize int `json:"block_size"`
+	// Iterations is the number of timed LUs per window.
+	Iterations int `json:"iterations"`
+	// MsPerOp is the median over 5 windows of each window's ms per LU.
+	MsPerOp float64 `json:"ms_per_op"`
 }
 
 // GemmReport is the serialized BENCH_gemm.json payload.
@@ -138,13 +139,31 @@ var triShapes = []struct {
 	{"larfb-v1w", "trmm", "LLNU", blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 100, 100},
 }
 
-// triKernel is a Dtrsm/Dtrmm-shaped routine.
-type triKernel func(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int)
+// gemmKernel is a Dgemm-shaped routine; triKernel a Dtrsm/Dtrmm-shaped one.
+type (
+	gemmKernel func(transA, transB blas.Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int)
+	triKernel  func(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int)
+)
 
-// timeTri measures one triangular routine at the given shape. B is reset
-// from a saved copy before every call, outside the timed region, so
-// repeated solves or products cannot drift into subnormals.
-func timeTri(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, minSample time.Duration, run triKernel) float64 {
+// gemmSide returns a side that times one window of run at m x n x k, with
+// op(A) = Aᵀ when ta is Trans (A stored k x m).
+func gemmSide(ta blas.Transpose, m, n, k int, minSample time.Duration, run gemmKernel) func() float64 {
+	lda := m
+	if ta == blas.Trans {
+		lda = k
+	}
+	a, b, c := fillSeq(m*k), fillSeq(k*n), make([]float64, m*n)
+	return func() float64 {
+		return window(minSample, 2*float64(m)*float64(n)*float64(k), nil, func() {
+			run(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
+		})
+	}
+}
+
+// triSide returns a side that times one window of run at the given shape.
+// B is reset from a saved copy before every call, outside the timed
+// region, so repeated solves or products cannot drift into subnormals.
+func triSide(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n int, minSample time.Duration, run triKernel) func() float64 {
 	na := m
 	if side == blas.Right {
 		na = n
@@ -158,44 +177,32 @@ func timeTri(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Dia
 	}
 	b0 := fillSeq(m * n)
 	b := make([]float64, m*n)
-	var el time.Duration
-	reps := 0
-	for warm := true; ; warm = false {
-		copy(b, b0)
-		start := time.Now()
-		run(side, uplo, trans, diag, m, n, 1, a, na, b, m)
-		if warm {
-			continue
-		}
-		el += time.Since(start)
-		reps++
-		if el >= minSample && reps >= 2 {
-			return gflops(float64(m)*float64(n)*float64(na)*float64(reps), el.Seconds())
-		}
+	return func() float64 {
+		return window(minSample, float64(m)*float64(n)*float64(na), func() { copy(b, b0) }, func() {
+			run(side, uplo, trans, diag, m, n, 1, a, na, b, m)
+		})
 	}
 }
 
-// timeGemm measures one gemm implementation at m x n x k (with op(A) = Aᵀ
-// when ta is Trans, so A is stored k x m), repeating until the sample
-// exceeds minSample so short cases aren't timer-noise.
-func timeGemm(ta blas.Transpose, m, n, k int, minSample time.Duration,
-	run func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64)) float64 {
-	lda := m
-	if ta == blas.Trans {
-		lda = k
-	}
-	a := fillSeq(m * k)
-	b := fillSeq(k * n)
-	c := make([]float64, m*n)
-	// Warm once (pools, page faults).
-	run(ta, m, n, k, lda, a, b, c)
-	reps := 0
-	start := time.Now()
-	for {
-		run(ta, m, n, k, lda, a, b, c)
-		reps++
-		if el := time.Since(start); el >= minSample && reps >= 2 {
-			return gflops(2*float64(m)*float64(n)*float64(k)*float64(reps), el.Seconds())
+// window times one window of a kernel case: after a warm-up call (pools,
+// page faults) it repeats run until at least minSample has been timed
+// over two or more calls, so short cases aren't timer noise, and returns
+// GFlop/s at flops per call. reset, when not nil, runs before every call,
+// outside the timed region.
+func window(minSample time.Duration, flops float64, reset, run func()) float64 {
+	var el time.Duration
+	for reps := 0; ; reps++ {
+		if reset != nil {
+			reset()
+		}
+		start := time.Now()
+		run()
+		if reps == 0 {
+			continue
+		}
+		el += time.Since(start)
+		if el >= minSample && reps >= 2 {
+			return gflops(flops*float64(reps), el.Seconds())
 		}
 	}
 }
@@ -209,25 +216,12 @@ func fillSeq(n int) []float64 {
 	return s
 }
 
-// gemmWindows is the number of timing windows per side of each case.
+// gemmWindows is the number of timing windows per side of each case, and
+// of the engine-reuse measurement.
 const gemmWindows = 5
 
-// medianWindows times packed and base in gemmWindows windows each,
-// alternating packed, base, packed, ..., and returns each side's median
-// rate, so a change in the host's load between windows moves both sides
-// and a single slow window moves neither.
-func medianWindows(packed, base func() float64) (packedRate, baseRate float64) {
-	var p, b [gemmWindows]float64
-	for w := range p {
-		p[w], b[w] = packed(), base()
-	}
-	slices.Sort(p[:])
-	slices.Sort(b[:])
-	return p[gemmWindows/2], b[gemmWindows/2]
-}
-
 // RunGemmReport measures the full trajectory. Every case's packed and
-// baseline rates are each the median of 5 alternating windows of at least
+// baseline rates are each the median of 5 interleaved windows of at least
 // minSample (CI smoke uses a short sample, the checked-in report a longer
 // one).
 func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
@@ -243,22 +237,13 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 	}
 	for _, s := range gemmShapes {
 		progress(cfg, "gemm %s: packed and baseline, %d windows each...", s.name, gemmWindows)
-		packed, base := medianWindows(func() float64 {
-			return timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
-				blas.Dgemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
-			})
-		}, func() float64 {
-			return timeGemm(s.ta, s.m, s.n, s.k, minSample, func(ta blas.Transpose, m, n, k, lda int, a, b, c []float64) {
-				baseline.RefGemm(ta, blas.NoTrans, m, n, k, 1, a, lda, b, k, 0, c, m)
-			})
-		})
+		w := Interleave(gemmWindows,
+			gemmSide(s.ta, s.m, s.n, s.k, minSample, blas.Dgemm),
+			gemmSide(s.ta, s.m, s.n, s.k, minSample, baseline.RefGemm))
 		gc := GemmCase{Name: s.name, M: s.m, N: s.n, K: s.k,
-			PackedGFlops: packed, BaselineGFlops: base}
+			PackedGFlops: w[0].Median, BaselineGFlops: w[1].Median, Speedup: w[0].Median / w[1].Median}
 		if s.ta == blas.Trans {
 			gc.TransA = "T"
-		}
-		if base > 0 {
-			gc.Speedup = packed / base
 		}
 		rep.Cases = append(rep.Cases, gc)
 	}
@@ -268,51 +253,19 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 			packed, ref = blas.Dtrmm, baseline.RefTrmm
 		}
 		progress(cfg, "tri %s: packed and baseline, %d windows each...", s.name, gemmWindows)
-		pg, bg := medianWindows(func() float64 {
-			return timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, packed)
-		}, func() float64 {
-			return timeTri(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, ref)
-		})
-		tc := TriCase{Name: s.name, Routine: s.routine, Variant: s.variant, M: s.m, N: s.n,
-			PackedGFlops: pg, BaselineGFlops: bg}
-		if bg > 0 {
-			tc.Speedup = pg / bg
-		}
-		rep.Triangular = append(rep.Triangular, tc)
+		w := Interleave(gemmWindows,
+			triSide(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, packed),
+			triSide(s.side, s.uplo, s.trans, s.diag, s.m, s.n, minSample, ref))
+		rep.Triangular = append(rep.Triangular, TriCase{Name: s.name, Routine: s.routine, Variant: s.variant, M: s.m, N: s.n,
+			PackedGFlops: w[0].Median, BaselineGFlops: w[1].Median, Speedup: w[0].Median / w[1].Median})
 	}
-	rep.EngineReuse = runEngineReuse(cfg)
+	progress(cfg, "engine-reuse: %d windows of %d %dx%d LUs...", gemmWindows, reuseIters, reuseM, reuseN)
+	orig := factor.Random(reuseM, reuseN, 3)
+	w := Interleave(gemmWindows, func() float64 {
+		return engineReuse(orig, factor.Options{BlockSize: reuseNB, PanelThreads: 4})
+	})
+	rep.EngineReuse = EngineReuseResult{M: reuseM, N: reuseN, BlockSize: reuseNB, Iterations: reuseIters, MsPerOp: w[0].Median}
 	return rep
-}
-
-// runEngineReuse times the BenchmarkEngineReuse workload: repeated
-// 1000 x 200 blocked CALU through a persistent engine, clone excluded.
-func runEngineReuse(cfg Config) EngineReuseResult {
-	const (
-		m, n, nb = 1000, 200, 100
-		iters    = 10
-	)
-	progress(cfg, "engine-reuse: %d iterations of %dx%d LU...", iters, m, n)
-	orig := factor.Random(m, n, 3)
-	opt := factor.Options{BlockSize: nb, PanelThreads: 4}
-	eng := factor.NewEngine(4)
-	defer eng.Close()
-	// Warm the pools as the benchmark's first iterations would.
-	if _, err := eng.LU(orig.Clone(), opt); err != nil {
-		panic(fmt.Sprintf("bench: engine warmup LU failed: %v", err))
-	}
-	var total time.Duration
-	for i := 0; i < iters; i++ {
-		a := orig.Clone()
-		start := time.Now()
-		if _, err := eng.LU(a, opt); err != nil {
-			panic(fmt.Sprintf("bench: engine LU failed: %v", err))
-		}
-		total += time.Since(start)
-	}
-	return EngineReuseResult{
-		M: m, N: n, BlockSize: nb, Iterations: iters,
-		MsPerOp: total.Seconds() * 1e3 / iters,
-	}
 }
 
 // SpeedupAt returns the measured speedup for the named case, or 0 if the

@@ -117,12 +117,16 @@ func BenchmarkLarfbNode(b *testing.B) {
 // BenchmarkLASWP times the interchange loop at the shapes square LU 1024²
 // (b = 100) runs it on. A U task applies a panel's 100 ipiv entries, here
 // those of the panel at row 500, to a 1024 x 100 block column, and GECON
-// undoes such a segment with LASWPBackward. The left-swap task of block
-// column 0 applies every later panel's entries, ipiv[100:1024), to its
-// 1024 x 100 block. The wide row applies the U task's segment to a
-// 1024 x 900 block. The entries are random rows at or below their own,
-// like a tournament's. The rate counts the 16 bytes each swap exchanges
-// per column.
+// undoes such a segment with LASWPBackward. That block stays in L2 from
+// one call to the next. The cold row applies the same segment to block
+// column i mod 10 of a 1024 x 1024 matrix (8 MB) in call i, as square LU
+// 1024²'s U tasks meet their columns: each call touches about 0.4 MB of
+// lines, so the nine calls between two visits to a block move more data
+// through a core than its L2 holds. The left-swap task of block column 0
+// applies every later panel's entries, ipiv[100:1024), to its 1024 x 100
+// block. The wide row applies the U task's segment to a 1024 x 900 block.
+// The entries are random rows at or below their own, like a tournament's.
+// The rate counts the 16 bytes each swap exchanges per column.
 func BenchmarkLASWP(b *testing.B) {
 	const m = 1024
 	rng := rand.New(rand.NewSource(13))
@@ -131,22 +135,29 @@ func BenchmarkLASWP(b *testing.B) {
 		ipiv[i] = i + rng.Intn(m-i)
 	}
 	for _, tc := range []struct {
-		name        string
-		cols        int
+		name string
+		// cols is the width of one call's block; the matrix is width
+		// columns wide, and call i takes its block i mod width/cols.
+		cols, width int
 		k1, k2      int
 		interchange func(a *matrix.Dense, ipiv []int, k1, k2 int)
 	}{
-		{"U-task-1024x100", 100, 500, 600, LASWP},
-		{"U-task-backward-1024x100", 100, 500, 600, LASWPBackward},
-		{"left-swap-j0-1024x100", 100, 100, m, LASWP},
-		{"wide-1024x900", 900, 500, 600, LASWP},
+		{"U-task-1024x100", 100, 100, 500, 600, LASWP},
+		{"U-task-cold-1024x100", 100, m, 500, 600, LASWP},
+		{"U-task-backward-1024x100", 100, 100, 500, 600, LASWPBackward},
+		{"left-swap-j0-1024x100", 100, 100, 100, m, LASWP},
+		{"wide-1024x900", 900, 900, 500, 600, LASWP},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			a := matrix.Random(m, tc.cols, 14)
+			a := matrix.Random(m, tc.width, 14)
+			blocks := make([]*matrix.Dense, tc.width/tc.cols)
+			for k := range blocks {
+				blocks[k] = a.View(0, k*tc.cols, m, tc.cols)
+			}
 			b.SetBytes(int64(16 * (tc.k2 - tc.k1) * tc.cols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tc.interchange(a, ipiv, tc.k1, tc.k2)
+				tc.interchange(blocks[i%len(blocks)], ipiv, tc.k1, tc.k2)
 			}
 		})
 	}
