@@ -3,6 +3,8 @@ package factor
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -297,7 +299,28 @@ func luSolveCheck(t *testing.T, orig *Matrix, lu *LUFactorization) {
 // locally (panel recompute) or by full retry — ending with a correct
 // factorization. 100% detection, 100% recovery.
 func TestChaosCorruptionCampaignLU(t *testing.T) {
-	targets := []string{"P k=", "F k=", "L k=", "U k=", "S k="}
+	luCorruptionCampaign(t, []string{"P k=", "F k=", "L k=", "U k=", "S k="}, Random(64, 64, 41), Options{BlockSize: 16, PanelThreads: 2})
+}
+
+// TestChaosCorruptionCampaignLUPacked runs the LU campaign at b = 100,
+// where the L and U tasks pack their blocks and the S tasks read the packed
+// copies (at b = 16 every S update reads L in place, and nothing is
+// packed). An L or U block corrupted after its task ran then reaches no S
+// task, so only the V tasks' column checks see it; they must still catch
+// every one, and the retried result must match a clean run's bit for bit
+// when no panel was recomputed.
+func TestChaosCorruptionCampaignLUPacked(t *testing.T) {
+	luCorruptionCampaign(t, []string{"L k=", "U k=", "S k="}, Random(300, 300, 47), Options{BlockSize: 100, PanelThreads: 2})
+}
+
+// luCorruptionCampaign perturbs the first task matching each target in
+// turn on a verified engine with retries, and requires the request to be
+// detected, healed and correct.
+func luCorruptionCampaign(t *testing.T, targets []string, orig *Matrix, opt Options) {
+	clean, err := LU(orig.Clone(), Options{BlockSize: opt.BlockSize, PanelThreads: opt.PanelThreads, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, target := range targets {
 		t.Run(strings.TrimSuffix(target, " k="), func(t *testing.T) {
 			inj := fault.New(31, fault.Rule{Kind: fault.Corrupt, Match: target, Rate: 1, Count: 1, Perturb: 1e6})
@@ -307,8 +330,7 @@ func TestChaosCorruptionCampaignLU(t *testing.T) {
 				PostInterceptor: inj.InterceptPost,
 			})
 			defer eng.Close()
-			orig := Random(64, 64, 41)
-			lu, err := eng.LU(orig.Clone(), Options{BlockSize: 16, PanelThreads: 2})
+			lu, err := eng.LU(orig.Clone(), opt)
 			if err != nil {
 				t.Fatalf("corrupted %q not healed: %v", target, err)
 			}
@@ -319,10 +341,84 @@ func TestChaosCorruptionCampaignLU(t *testing.T) {
 			if st.CorruptionsDetected == 0 {
 				t.Fatalf("corruption in %q went undetected: %+v", target, st)
 			}
+			if st.PanelsRecomputed == 0 && !sameFactors(lu, clean) {
+				t.Fatalf("healed factors differ from a clean run's after corrupting %q", target)
+			}
 			luSolveCheck(t, orig, lu)
 			chaosVerify(t, eng)
 		})
 	}
+}
+
+// sameFactors reports whether two LU factorizations hold bit-identical
+// factors and the same pivots.
+func sameFactors(x, y *LUFactorization) bool {
+	bitsEqual := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
+	return slices.EqualFunc(x.Factors().Data, y.Factors().Data, bitsEqual) &&
+		slices.Equal(x.PermutationVector(), y.PermutationVector())
+}
+
+// TestChaosPackedOperandsUnderFailure fails a CALU mid-graph at b = 100,
+// where each L and U task hands a pooled packed buffer to the S tasks that
+// read it and the last of them returns it: once with an injected error in
+// panel 1's first S task, which a retry heals, and once with a
+// cancellation there. The buffers whose readers were drained are left to
+// the garbage collector, so neither the healed result nor the clean
+// request after it may differ from a clean engine's by a bit; under the
+// race detector, a buffer returned while a task still reads it would show.
+func TestChaosPackedOperandsUnderFailure(t *testing.T) {
+	orig := Random(300, 300, 61)
+	opt := Options{BlockSize: 100, PanelThreads: 2}
+	cleanEng := NewEngine(2)
+	clean, err := cleanEng.LU(orig.Clone(), opt)
+	cleanEng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("error", func(t *testing.T) {
+		inj := fault.New(7, fault.Rule{Kind: fault.Error, Match: "S k=1", Rate: 1, Count: 1})
+		eng := NewEngineWithConfig(EngineConfig{
+			Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond,
+			Interceptor: inj.Intercept,
+		})
+		defer eng.Close()
+		lu, err := eng.LU(orig.Clone(), opt)
+		if err != nil {
+			t.Fatalf("LU with retries: %v", err)
+		}
+		if st := eng.Stats(); inj.Injected(fault.Error) != 1 || st.Retries != 1 {
+			t.Fatalf("injected %d errors with %d retries, want 1 and 1", inj.Injected(fault.Error), st.Retries)
+		}
+		if !sameFactors(lu, clean) {
+			t.Fatal("healed factors differ from a clean engine's")
+		}
+		if lu, err = eng.LU(orig.Clone(), opt); err != nil || !sameFactors(lu, clean) {
+			t.Fatalf("clean request after the failure differs from a clean engine's (err %v)", err)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		// As in TestChaosCancelOnceNotRetried, the delay gives the pool's
+		// cancellation watcher the CPU before the graph drains.
+		inj := fault.New(3,
+			fault.Rule{Kind: fault.CancelOnce, Match: "S k=1", Rate: 1},
+			fault.Rule{Kind: fault.Delay, Match: "S k=1", Rate: 1, Delay: 500 * time.Microsecond},
+		)
+		eng := NewEngineWithConfig(EngineConfig{
+			Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond,
+			Interceptor: inj.Intercept,
+		})
+		defer eng.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		inj.OnCancel(cancel)
+		if _, err := eng.LUCtx(ctx, orig.Clone(), opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want wrapped context.Canceled", err)
+		}
+		lu, err := eng.LU(orig.Clone(), opt)
+		if err != nil || !sameFactors(lu, clean) {
+			t.Fatalf("clean request after the cancellation differs from a clean engine's (err %v)", err)
+		}
+	})
 }
 
 // TestChaosCorruptionCampaignQR is the QR campaign: QR panels are factored

@@ -49,6 +49,10 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/blas", "packA"},
 	{"internal/blas", "packB"},
 	{"internal/blas", "macroKernel"},
+	// CALU's L and U tasks pack their blocks once, and every S task
+	// multiplies the packed operands.
+	{"internal/blas", "Pack"},
+	{"internal/blas", "GemmPacked"},
 	// The recursive triangular drivers run inside every CALU L/U task and
 	// every Larfb (CAQR S tasks, GEQR3 nodes).
 	{"internal/blas", "Dtrsm"},

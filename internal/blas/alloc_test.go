@@ -9,6 +9,7 @@ package blas
 import (
 	"testing"
 
+	"repro/internal/matrix"
 	"repro/internal/scratch"
 )
 
@@ -74,6 +75,36 @@ func TestGemmInPlaceZeroAlloc(t *testing.T) {
 		run()
 		if avg := testing.AllocsPerRun(10, run); avg != 0 {
 			t.Fatalf("Dgemm(%d×%d×%d) allocates %.1f objects per call in steady state, want 0", m, n, k, avg)
+		}
+	})
+}
+
+// TestPackedGemmZeroAlloc pins a CALU S task's operand round trip to zero
+// steady-state allocations on every tile: the L task's Pack of A, the U
+// task's Pack of B, the S task's GemmPacked and the Releases that return
+// both buffers to internal/scratch. It runs the square S task's 231 x 100
+// x 100 on the packed path, and 231 x 48 x 48 with operands packed for a
+// wider B, which GemmPacked runs on the views with A read in place.
+func TestPackedGemmZeroAlloc(t *testing.T) {
+	onEveryTile(t, func(t *testing.T) {
+		for _, s := range []struct{ m, n, k int }{{231, 100, 100}, {231, 48, 48}} {
+			a := matrix.Random(s.m, s.k, 1)
+			b := matrix.Random(s.k, s.n, 2)
+			c := matrix.New(s.m, s.n)
+			var pa PackedA
+			var pb PackedB
+			run := func() {
+				pa.Pack(-1, a, 100, 1)
+				pb.Pack(b, s.m, 1)
+				GemmPacked(&pa, &pb, c)
+				pa.Release()
+				pb.Release()
+			}
+			run()
+			run()
+			if avg := testing.AllocsPerRun(10, run); avg != 0 {
+				t.Fatalf("Pack, GemmPacked and Release (%d×%d×%d) allocate %.1f objects per round in steady state, want 0", s.m, s.n, s.k, avg)
+			}
 		}
 	})
 }

@@ -33,6 +33,24 @@ func BenchmarkDgemmWideK(b *testing.B)      { benchGemm(b, 128, 128, 2048) }
 // fringe tile.
 func BenchmarkDgemmSTask(b *testing.B) { benchGemm(b, 231, 100, 100) }
 
+// BenchmarkGemmPackedSTask is the same S task on operands packed outside
+// the timer, as CALU's L and U tasks pack them: the difference from
+// BenchmarkDgemmSTask is the packing each S task no longer does.
+func BenchmarkGemmPackedSTask(b *testing.B) {
+	const m, n, k = 231, 100, 100
+	var pa PackedA
+	var pb PackedB
+	pa.Pack(1, matrix.Random(m, k, 1), n, 1)
+	pb.Pack(matrix.Random(k, n, 2), m, 1)
+	c := matrix.New(m, n)
+	flops := 2 * float64(m) * float64(n) * float64(k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmPacked(&pa, &pb, c)
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
 func BenchmarkDtrsmRightUpper(b *testing.B) {
 	// The CALU task-L kernel shape: tall block against a b x b triangle.
 	tri := matrix.Random(100, 100, 3)

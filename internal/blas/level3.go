@@ -80,7 +80,7 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	if k == 0 || alpha == 0 {
 		return
 	}
-	if transA == NoTrans && m >= gemmMR && n <= inPlaceMaxN && k <= inPlaceMaxK {
+	if transA == NoTrans && readsInPlace(m, n, k) {
 		gemmInPlace(transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -138,6 +138,12 @@ const (
 	inPlaceMaxN = 64
 	inPlaceMaxK = 64
 )
+
+// readsInPlace reports whether Dgemm reads a NoTrans op(A) of an
+// m x n x k product in place (gemmInPlace) rather than packing it.
+func readsInPlace(m, n, k int) bool {
+	return m >= gemmMR && n <= inPlaceMaxN && k <= inPlaceMaxK
+}
 
 // gemmInPlace computes C += alpha*A*op(B) for a NoTrans A of at least one
 // full register strip, with n <= inPlaceMaxN and k <= inPlaceMaxK. op(B)

@@ -339,6 +339,22 @@ func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 	if lRows0 < b.m {
 		lBlocks = tslu.Partition(b.m-lRows0, opt.PanelThreads)
 	}
+	// Each L task packs its block of L, and each U task its block of U,
+	// once for the S tasks that multiply them: one per column group for an
+	// L block, one per L block for a U block. The widest group (the first)
+	// and the shortest L block (the last) tell blas whether any of those
+	// products packs at all.
+	groups := b.trailing(k)
+	lPacks := make([]blas.PackedA, len(lBlocks))
+	uPacks := make([]blas.PackedB, len(groups))
+	nMax, mMin := 0, 0
+	if len(groups) > 0 {
+		nMax = groups[0].w
+	}
+	if len(lBlocks) > 0 {
+		last := lBlocks[len(lBlocks)-1]
+		mMin = last[1] - last[0]
+	}
 	lTasks := make([]*sched.Task, len(lBlocks))
 	for i, blk := range lBlocks {
 		lo, hi := lRows0+blk[0], lRows0+blk[1]
@@ -351,10 +367,12 @@ func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 			Class:    sched.ClassBLAS3,
 		}
 		if b.a != nil {
+			lp := &lPacks[i]
 			t.Run = func() {
 				ukk := b.a.View(r0, c0, w, w)
 				lblk := b.a.View(lo, c0, rows, w)
 				blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, ukk, lblk)
+				lp.Pack(-1, lblk, nMax, len(groups))
 			}
 			t.Out = func() []float64 { return b.a.Col(c0)[lo:hi] }
 		}
@@ -364,7 +382,7 @@ func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 	}
 
 	// --- Tasks U and S over the trailing block columns. ---
-	for _, grp := range b.trailing(k) {
+	for g, grp := range groups {
 		gc0, gw := grp.c0, grp.w
 		u := &sched.Task{
 			Label:    fmt.Sprintf("U k=%d j=%d", k, grp.j0),
@@ -375,11 +393,13 @@ func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 		}
 		if b.a != nil {
 			t := u
+			up := &uPacks[g]
 			t.Run = func() {
 				lapack.LASWP(b.a.View(0, gc0, b.m, gw), b.ipiv, r0, c1)
 				lkk := b.a.View(r0, c0, w, w)
 				ukj := b.a.View(r0, gc0, w, gw)
 				blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, lkk, ukj)
+				up.Pack(ukj, mMin, len(lBlocks))
 			}
 			t.Out = func() []float64 { return b.a.Col(gc0)[r0 : r0+w] }
 		}
@@ -399,11 +419,11 @@ func (b *caluBuilder) buildIteration(k int) (fin, v *sched.Task) {
 			}
 			if b.a != nil {
 				t := s
+				lp, up := &lPacks[i], &uPacks[g]
 				t.Run = func() {
-					lik := b.a.View(lo, c0, rows, w)
-					ukj := b.a.View(r0, gc0, w, gw)
-					aij := b.a.View(lo, gc0, rows, gw)
-					blas.Gemm(blas.NoTrans, blas.NoTrans, -1, lik, ukj, 1, aij)
+					blas.GemmPacked(lp, up, b.a.View(lo, gc0, rows, gw))
+					lp.Release()
+					up.Release()
 				}
 				t.Out = func() []float64 { return b.a.Col(gc0)[lo:hi] }
 			}
